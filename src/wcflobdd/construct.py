@@ -119,10 +119,8 @@ def _fold_proto(forest, t, nvars, memo):
         return hit
     if nvars == 1:
         lw, rw, llab, rlab = t
-        if llab == rlab:
-            result = forest.dontcare(lw, rw), (llab,)
-        else:
-            result = forest.fork(lw, rw), (llab, rlab)
+        labels = (llab,) if llab == rlab else (llab, rlab)
+        result = forest.leaf(lw, rw, len(labels)), labels
     else:
         half = nvars // 2
         # The lower blocks sit `half` node levels deep (one level per
@@ -200,10 +198,7 @@ def unfold(diagram: Diagram):
         if hit is not None:
             return hit
         if g.level == 0:
-            if g.number_of_exits == 2:
-                result = ((1, g.lw), (2, g.rw))
-            else:
-                result = ((1, g.lw), (1, g.rw))
+            result = (g.branch(0), g.branch(1))
         else:
             acc = []
             for a_exit, a_weight in proto_paths(g.a_connection):

@@ -1,13 +1,17 @@
 """Hash-consed diagram structures.
 
 A diagram is a triple (factor, head grouping, value tuple). Groupings
-form a two-level hierarchy: level-0 groupings decide a single variable
-(a *fork* with two exits or a *don't-care* with one), and an internal
-grouping at level k wires an A-connection over the first half of the
-variables to B-connections over the second half through return tuples.
-Return tuples are 1-based, the A-return tuple is always the identity,
-and every grouping is interned in a per-forest unique table, so
-structural equality is pointer equality.
+come in two kinds. A level-0 ``LeafGrouping`` reads a single variable:
+bit 0 takes its left weight to exit 1, and bit 1 takes its right weight
+to its last exit, which is exit 2 for a *fork* that distinguishes the
+variable and exit 1 for a *don't-care*. An internal grouping at level k
+wires an A-connection over the first half of the variables to
+B-connections over the second half through return tuples. Return
+tuples are 1-based, the A-return tuple is always the identity, and
+every grouping is interned in a per-forest unique table, so structural
+equality is pointer equality. ``Forest.leaf`` and ``Forest.internal``
+are the two interning entry points; ``Forest.fork`` and
+``Forest.dontcare`` name the two leaf exit counts.
 
 Weights on level-0 edges and the top-level factor come from a
 semi-field instance owned by the forest. A value tuple assigns a
@@ -28,8 +32,7 @@ from .semifield import Semifield
 __all__ = [
     "StructureError",
     "Grouping",
-    "ForkGrouping",
-    "DontCareGrouping",
+    "LeafGrouping",
     "InternalGrouping",
     "Diagram",
     "Forest",
@@ -52,36 +55,32 @@ class Grouping:
     number_of_exits = 0
 
 
-class ForkGrouping(Grouping):
-    """Level-0 grouping that distinguishes its variable: two exits."""
+class LeafGrouping(Grouping):
+    """Level-0 grouping over one variable.
 
-    __slots__ = ("lw", "rw")
+    Bit 0 reaches exit 1 with weight ``lw``; bit 1 reaches exit
+    ``number_of_exits`` with weight ``rw``. Two exits make a fork, one
+    exit a don't-care.
+    """
 
-    level = 0
-    number_of_exits = 2
-
-    def __init__(self, lw, rw):
-        self.lw = lw
-        self.rw = rw
-
-    def __repr__(self):
-        return f"Fork({self.lw!r}, {self.rw!r})"
-
-
-class DontCareGrouping(Grouping):
-    """Level-0 grouping with a single exit reached on either bit."""
-
-    __slots__ = ("lw", "rw")
+    __slots__ = ("lw", "rw", "number_of_exits")
 
     level = 0
-    number_of_exits = 1
 
-    def __init__(self, lw, rw):
+    def __init__(self, lw, rw, number_of_exits):
         self.lw = lw
         self.rw = rw
+        self.number_of_exits = number_of_exits
+
+    def branch(self, bit):
+        """(exit, weight) taken on one input bit."""
+        if bit == 0:
+            return 1, self.lw
+        return self.number_of_exits, self.rw
 
     def __repr__(self):
-        return f"DontCare({self.lw!r}, {self.rw!r})"
+        kind = "Fork" if self.number_of_exits == 2 else "DontCare"
+        return f"{kind}({self.lw!r}, {self.rw!r})"
 
 
 class InternalGrouping(Grouping):
@@ -95,15 +94,6 @@ class InternalGrouping(Grouping):
         self.b_connections = b_connections
         self.b_return_tuples = b_return_tuples
         self.number_of_exits = number_of_exits
-
-    @property
-    def a_return_tuple(self):
-        # Middle vertices are numbered by A-exit; the map is the identity.
-        return tuple(range(1, len(self.b_connections) + 1))
-
-    @property
-    def number_of_b_connections(self):
-        return len(self.b_connections)
 
     def __repr__(self):
         return (f"Internal(level={self.level}, "
@@ -158,6 +148,14 @@ def _check_return_tuples(b_connections, b_return_tuples):
     return seen_max
 
 
+def _unique_key(field, g):
+    """Unique-table key: groupings with equal keys are the same grouping."""
+    if g.level == 0:
+        return (g.number_of_exits, field.key(g.lw), field.key(g.rw))
+    return (g.level, id(g.a_connection), tuple(map(id, g.b_connections)),
+            g.b_return_tuples)
+
+
 def _duplicate_middles(b_connections, b_return_tuples):
     """True if some (B-connection, return tuple) pair repeats.
 
@@ -186,8 +184,7 @@ class Forest:
 
     def __init__(self, field: Semifield):
         self.field = field
-        self._leaf_table = {}
-        self._internal_table = {}
+        self._grouping_table = {}
         self._diagram_table = {}
         self._canonical_ids = set()
         self._zero_protos = {}
@@ -196,27 +193,24 @@ class Forest:
 
     # -- interning ---------------------------------------------------
 
-    def fork(self, lw, rw) -> ForkGrouping:
+    def _intern(self, g):
+        """The interned grouping with the same structure as ``g``."""
+        return self._grouping_table.setdefault(_unique_key(self.field, g), g)
+
+    def leaf(self, lw, rw, exits) -> LeafGrouping:
+        """Level-0 grouping with 1 (don't-care) or 2 (fork) exits."""
+        new = LeafGrouping(lw, rw, exits)
+        g = self._intern(new)
         f = self.field
-        tkey = ("fork", f.key(lw), f.key(rw))
-        g = self._leaf_table.get(tkey)
-        if g is None:
-            g = ForkGrouping(lw, rw)
-            self._leaf_table[tkey] = g
-            if f.is_one(lw) or (f.is_zero(lw) and f.is_one(rw)):
-                self._canonical_ids.add(id(g))
+        if g is new and (f.is_one(lw) or (f.is_zero(lw) and f.is_one(rw))):
+            self._canonical_ids.add(id(g))
         return g
 
-    def dontcare(self, lw, rw) -> DontCareGrouping:
-        f = self.field
-        tkey = ("dc", f.key(lw), f.key(rw))
-        g = self._leaf_table.get(tkey)
-        if g is None:
-            g = DontCareGrouping(lw, rw)
-            self._leaf_table[tkey] = g
-            if f.is_one(lw) or (f.is_zero(lw) and f.is_one(rw)):
-                self._canonical_ids.add(id(g))
-        return g
+    def fork(self, lw, rw) -> LeafGrouping:
+        return self.leaf(lw, rw, 2)
+
+    def dontcare(self, lw, rw) -> LeafGrouping:
+        return self.leaf(lw, rw, 1)
 
     def internal(self, a_connection, b_connections,
                  b_return_tuples) -> InternalGrouping:
@@ -229,14 +223,9 @@ class Forest:
             if b.level != a_connection.level:
                 raise StructureError("A- and B-connection levels differ")
         exits = _check_return_tuples(b_connections, b_return_tuples)
-        tkey = (level, id(a_connection), tuple(map(id, b_connections)),
-                b_return_tuples)
-        g = self._internal_table.get(tkey)
-        if g is None:
-            g = InternalGrouping(level, a_connection, b_connections,
-                                 b_return_tuples, exits)
-            self._internal_table[tkey] = g
-        return g
+        return self._intern(InternalGrouping(level, a_connection,
+                                             b_connections, b_return_tuples,
+                                             exits))
 
     def diagram(self, factor, head, values) -> Diagram:
         f = self.field
@@ -285,27 +274,22 @@ class Forest:
     # -- constant protos -------------------------------------------------
 
     def zero_proto(self, level: int) -> Grouping:
-        g = self._zero_protos.get(level)
-        if g is None:
-            if level == 0:
-                g = self.dontcare(self.field.zero, self.field.one)
-            else:
-                below = self.zero_proto(level - 1)
-                g = self.internal(below, (below,), ((1,),))
-            self.mark_canonical(g)
-            self._zero_protos[level] = g
-        return g
+        return self._constant_proto(level, self.field.zero, self._zero_protos)
 
     def one_proto(self, level: int) -> Grouping:
-        g = self._one_protos.get(level)
+        return self._constant_proto(level, self.field.one, self._one_protos)
+
+    def _constant_proto(self, level, lw, memo):
+        """Single-exit tower over the don't-care leaf (lw, 1)."""
+        g = memo.get(level)
         if g is None:
             if level == 0:
-                g = self.dontcare(self.field.one, self.field.one)
+                g = self.dontcare(lw, self.field.one)
             else:
-                below = self.one_proto(level - 1)
+                below = self._constant_proto(level - 1, lw, memo)
                 g = self.internal(below, (below,), ((1,),))
             self.mark_canonical(g)
-            self._one_protos[level] = g
+            memo[level] = g
         return g
 
     def zero_diagram(self, level: int) -> Diagram:
@@ -324,7 +308,7 @@ class Forest:
 
     def __repr__(self):
         return (f"<Forest {self.field.name}: "
-                f"{len(self._leaf_table) + len(self._internal_table)} "
+                f"{len(self._grouping_table)} "
                 f"groupings, {len(self._diagram_table)} diagrams>")
 
 
@@ -351,9 +335,7 @@ def _coerce_bits(assignment) -> tuple:
 def _eval_grouping(field, g, bits, lo, hi):
     """Exit index (1-based) and path weight of ``g`` on bits[lo:hi]."""
     if g.level == 0:
-        if bits[lo] == 0:
-            return 1, g.lw
-        return (2, g.rw) if isinstance(g, ForkGrouping) else (1, g.rw)
+        return g.branch(bits[lo])
     mid = (lo + hi) // 2
     a_exit, a_weight = _eval_grouping(field, g.a_connection, bits, lo, mid)
     b = g.b_connections[a_exit - 1]
@@ -368,13 +350,8 @@ def evaluate(diagram: Diagram, assignment):
     ``assignment`` is a bit string or 0/1 sequence with one bit per
     variable, leftmost bit first (the A-connection half comes first).
     """
-    bits = _coerce_bits(assignment)
-    if len(bits) != diagram.num_variables:
-        raise ValueError(
-            f"expected {diagram.num_variables} bits, got {len(bits)}")
     field = diagram.forest.field
-    exit_index, weight = _eval_grouping(field, diagram.head, bits, 0,
-                                        len(bits))
+    exit_index, weight = evaluate_exit(diagram, assignment)
     return field.mul(diagram.factor,
                      field.mul(weight, diagram.values[exit_index - 1]))
 
@@ -406,19 +383,27 @@ def is_zero_diagram(diagram: Diagram) -> bool:
 
 
 def reachable_groupings(head: Grouping) -> list:
-    """Distinct groupings reachable from ``head``, parents first."""
-    seen = {}
+    """Distinct groupings reachable from ``head``, parents first.
+
+    The order is the reverse of the depth-first postorder that visits
+    the A-connection before the B-connections in middle order, so
+    reversing the list gives children before parents.
+    """
+    seen = set()
     order = []
-    stack = [head]
-    while stack:
-        g = stack.pop()
+
+    def walk(g):
         if id(g) in seen:
-            continue
-        seen[id(g)] = g
+            return
+        seen.add(id(g))
+        if g.level > 0:
+            walk(g.a_connection)
+            for b in g.b_connections:
+                walk(b)
         order.append(g)
-        if isinstance(g, InternalGrouping):
-            stack.append(g.a_connection)
-            stack.extend(g.b_connections)
+
+    walk(head)
+    order.reverse()
     return order
 
 
@@ -443,11 +428,9 @@ def size(diagram: Diagram) -> SizeReport:
     groupings = vertices = edges = 0
     for g in reachable_groupings(diagram.head):
         groupings += 1
-        if isinstance(g, ForkGrouping):
-            vertices += 4
-            edges += 2
-        elif isinstance(g, DontCareGrouping):
-            vertices += 2
+        if g.level == 0:
+            # Entry and exits, plus the branch point of a fork.
+            vertices += 2 * g.number_of_exits
             edges += 2
         else:
             middles = len(g.b_connections)
@@ -469,7 +452,7 @@ def _path_kinds(field, g, memo):
     if g.level == 0:
         lz = field.is_zero(g.lw)
         rz = field.is_zero(g.rw)
-        if isinstance(g, ForkGrouping):
+        if g.number_of_exits == 2:
             kinds = ((lz, not lz), (rz, not rz))
         else:
             kinds = ((lz or rz, (not lz) or (not rz)),)
@@ -508,13 +491,7 @@ def validate(diagram: Diagram) -> list:
 
     by_key = {}
     for g in groupings:
-        if g.level == 0:
-            kind = "fork" if isinstance(g, ForkGrouping) else "dc"
-            skey = (kind, field.key(g.lw), field.key(g.rw))
-        else:
-            skey = (g.level, id(g.a_connection),
-                    tuple(map(id, g.b_connections)), g.b_return_tuples)
-        other = by_key.setdefault(skey, g)
+        other = by_key.setdefault(_unique_key(field, g), g)
         if other is not g:
             out.append(f"duplicate structure not interned: {g!r}")
 

@@ -14,11 +14,10 @@ Bilinear polynomials are plain dicts mapping ``(ev1, ev2)`` exit-index
 pairs to nonzero coefficients; the empty dict is the zero polynomial.
 """
 
-from .core import (Diagram, DontCareGrouping, StructureError, evaluate,
-                   is_zero_diagram)
+from .core import Diagram, StructureError, evaluate, is_zero_diagram
 from .construct import identity_matrix
-from .pointwise import (collapse_classes_leftmost, insert_b_connection,
-                        reduce, weighted_pair_product)
+from .pointwise import (_common_forest, collapse_classes_leftmost,
+                        insert_b_connection, reduce, weighted_pair_product)
 
 __all__ = [
     "apply_matrix_to_vector",
@@ -55,6 +54,11 @@ def _bp_key(field, bp):
     return tuple(sorted((pair, field.key(coeff)) for pair, coeff in bp.items()))
 
 
+def _collapse_bps(field, bps):
+    """Classes of equal polynomials: (representatives, renumbering)."""
+    return collapse_classes_leftmost(bps, lambda bp: _bp_key(field, bp))
+
+
 def _bp_remap(bp, rt1, rt2):
     """Rename exit-vertex variables through the owners' return tuples."""
     out = {}
@@ -76,30 +80,25 @@ def kronecker(n1: Diagram, n2: Diagram) -> Diagram:
     if is_zero_diagram(n1) or is_zero_diagram(n2):
         return forest.zero_diagram(level)
 
-    classes = {}
-    values = []
-
-    def cls(v):
-        k = field.key(v)
-        c = classes.get(k)
-        if c is None:
-            c = len(values) + 1
-            classes[k] = c
-            values.append(v)
-        return c
-
     bs = []
-    rts = []
+    cells = []
     for v1 in n1.values:
         if field.is_zero(v1):
             bs.append(forest.zero_proto(n2.level))
-            rts.append((cls(field.zero),))
+            cells.append((field.zero,))
         else:
             bs.append(n2.head)
-            rts.append(tuple(cls(field.mul(v1, v2)) for v2 in n2.values))
+            cells.append(tuple(field.mul(v1, v2) for v2 in n2.values))
+    values, classes = collapse_classes_leftmost(
+        [v for row in cells for v in row], field.key)
+    rts = []
+    offset = 0
+    for row in cells:
+        rts.append(classes[offset:offset + len(row)])
+        offset += len(row)
     g = forest.internal(n1.head, tuple(bs), tuple(rts))
     forest.mark_canonical(g)
-    return forest.diagram(field.mul(n1.factor, n2.factor), g, tuple(values))
+    return forest.diagram(field.mul(n1.factor, n2.factor), g, values)
 
 
 def matrix_multiply(n1: Diagram, n2: Diagram) -> Diagram:
@@ -176,15 +175,6 @@ def _mat_mult_groupings(forest, g1, g2):
     return res
 
 
-def _level0_branch(grouping, bit):
-    """(exit, weight) taken by a level-0 grouping on one input bit."""
-    if bit == 0:
-        return 1, grouping.lw
-    if isinstance(grouping, DontCareGrouping):
-        return 1, grouping.rw
-    return 2, grouping.rw
-
-
 def _mat_mult_base(forest, g1, g2):
     field = forest.field
     cells1 = _cells(forest, g1)
@@ -197,53 +187,34 @@ def _mat_mult_base(forest, g1, g2):
                 w1, e1 = cells1[r][k]
                 w2, e2 = cells2[k][c]
                 coeff = field.mul(w1, w2)
-                if field.is_zero(coeff):
-                    continue
-                pair = (e1, e2)
-                if pair in bp:
-                    s = field.add(bp[pair], coeff)
-                    if field.is_zero(s):
-                        del bp[pair]
-                    else:
-                        bp[pair] = s
-                else:
-                    bp[pair] = coeff
+                if not field.is_zero(coeff):
+                    bp = bp_add(field, bp, {(e1, e2): coeff})
             bps.append(bp)
     # Group equal cells, then build the placeholder level-1 grouping that
     # realizes that cell partition with unit weights.
-    keys = [_bp_key(field, bp) for bp in bps]
-    projected, renumbered = collapse_classes_leftmost(keys)
-    reps = {}
-    for bp, k in zip(bps, keys):
-        reps.setdefault(k, bp)
+    reps, renumbered = _collapse_bps(field, bps)
     one = field.one
     bs = []
     rts = []
-    positions = []
     for r in (0, 1):
         left, right = renumbered[2 * r], renumbered[2 * r + 1]
-        if left == right:
-            h, rt = forest.dontcare(one, one), (left,)
-        else:
-            h, rt = forest.fork(one, one), (left, right)
-        positions.append(insert_b_connection(bs, rts, h, rt))
-    if positions[0] == positions[1]:
-        a = forest.dontcare(one, one)
-    else:
-        a = forest.fork(one, one)
+        rt = (left,) if left == right else (left, right)
+        insert_b_connection(bs, rts, forest.leaf(one, one, len(rt)), rt)
+    # The A-connection has one exit per distinct row.
+    a = forest.leaf(one, one, len(bs))
     g = forest.internal(a, tuple(bs), tuple(rts))
-    return (g, tuple(reps[k] for k in projected), one)
+    return (g, reps, one)
 
 
 def _cells(forest, g):
     cells = []
     for r in (0, 1):
-        mid, aw = _level0_branch(g.a_connection, r)
+        mid, aw = g.a_connection.branch(r)
         b = g.b_connections[mid - 1]
         rt = g.b_return_tuples[mid - 1]
         row = []
         for c in (0, 1):
-            be, bw = _level0_branch(b, c)
+            be, bw = b.branch(c)
             row.append((forest.field.mul(aw, bw), rt[be - 1]))
         cells.append(row)
     return cells
@@ -263,13 +234,9 @@ def _mat_mult_internal(forest, g1, g2):
                                              g2.b_connections[k2 - 1])
             mapped = [_bp_remap(bp, g1.b_return_tuples[k1 - 1],
                                 g2.b_return_tuples[k2 - 1]) for bp in mb]
-            keys = [_bp_key(field, bp) for bp in mapped]
-            projected, rho = collapse_classes_leftmost(keys)
-            reps = {}
-            for bp, k in zip(mapped, keys):
-                reps.setdefault(k, bp)
+            reps, rho = _collapse_bps(field, mapped)
             h, fw = reduce(forest, bb, rho, (wb,) * len(mb))
-            term = (field.mul(v, fw), h, tuple(reps[k] for k in projected))
+            term = (field.mul(v, fw), h, reps)
             acc = _symbolic_add(forest, acc, term)
         w_i, h_i, bps_i = acc
         offset = len(all_bps)
@@ -279,15 +246,11 @@ def _mat_mult_internal(forest, g1, g2):
         exit_values.extend([w_i] * len(bps_i))
     g = forest.internal(aa, tuple(bs), tuple(rts))
 
-    keys = [_bp_key(field, bp) for bp in all_bps]
-    projected, rho = collapse_classes_leftmost(keys)
-    reps = {}
-    for bp, k in zip(all_bps, keys):
-        reps.setdefault(k, bp)
+    reps, rho = _collapse_bps(field, all_bps)
     reduced, fw = reduce(forest, g, rho, tuple(exit_values))
-    if reduced.number_of_exits != len(projected):
+    if reduced.number_of_exits != len(reps):
         raise StructureError("matrix product lost exit classes")
-    return (reduced, tuple(reps[k] for k in projected), field.mul(wa, fw))
+    return (reduced, reps, field.mul(wa, fw))
 
 
 def _symbolic_zero(forest, level):
@@ -313,14 +276,10 @@ def _symbolic_add(forest, s1, s2):
     deduced = [bp_add(field, bp_scale(field, q1, bps1[i1 - 1]),
                       bp_scale(field, q2, bps2[i2 - 1]))
                for (q1, i1), (q2, i2) in pt]
-    keys = [_bp_key(field, bp) for bp in deduced]
-    projected, rho = collapse_classes_leftmost(keys)
-    reps = {}
-    for bp, k in zip(deduced, keys):
-        reps.setdefault(k, bp)
+    reps, rho = _collapse_bps(field, deduced)
     values = tuple(field.zero if not bp else field.one for bp in deduced)
     reduced, w = reduce(forest, g, rho, values)
-    return (w, reduced, tuple(reps[k] for k in projected))
+    return (w, reduced, reps)
 
 
 def apply_matrix_to_vector(m: Diagram, s: Diagram) -> Diagram:
@@ -353,11 +312,3 @@ def _probe_broadcast(s: Diagram):
                 seen = value
             elif seen != value:
                 raise ValueError("state is not column-independent")
-
-
-def _common_forest(n1, n2):
-    if n1.forest is not n2.forest:
-        raise ValueError("operands belong to different forests")
-    if n1.level != n2.level:
-        raise ValueError("operands must have the same level")
-    return n1.forest

@@ -14,8 +14,7 @@ not themselves canonical (they may carry duplicate middles and
 non-normalized leaf weights); they only ever flow into ``reduce``.
 """
 
-from .core import (Diagram, DontCareGrouping, ForkGrouping, StructureError,
-                   is_zero_diagram)
+from .core import Diagram, StructureError, is_zero_diagram
 from .construct import scalar_multiply
 
 __all__ = [
@@ -30,25 +29,27 @@ __all__ = [
 ]
 
 
-def collapse_classes_leftmost(classes):
-    """Project a sequence onto its first occurrences.
+def collapse_classes_leftmost(items, key=None):
+    """Group a sequence into classes, numbered by first occurrence.
 
-    Returns ``(projected, renumbered)`` where ``projected`` keeps the
-    leftmost instance of each distinct element in order of appearance
-    and ``renumbered`` maps every position to the 1-based index of its
-    element's class in ``projected``.  For example ``[x, x, y, x, z]``
-    gives ``((x, y, z), (1, 1, 2, 1, 3))``.
+    Items fall in one class when ``key`` (the identity when omitted)
+    maps them to the same value.  Returns ``(projected, renumbered)``
+    where ``projected`` keeps the leftmost item of each class in order
+    of appearance and ``renumbered`` maps every position to the 1-based
+    index of its class in ``projected``.  For example
+    ``[x, x, y, x, z]`` gives ``((x, y, z), (1, 1, 2, 1, 3))``.
     """
     first = {}
     projected = []
     renumbered = []
-    for c in classes:
-        k = first.get(c)
-        if k is None:
-            k = len(projected) + 1
-            first[c] = k
-            projected.append(c)
-        renumbered.append(k)
+    for item in items:
+        k = item if key is None else key(item)
+        c = first.get(k)
+        if c is None:
+            c = len(projected) + 1
+            first[k] = c
+            projected.append(item)
+        renumbered.append(c)
     return tuple(projected), tuple(renumbered)
 
 
@@ -121,12 +122,12 @@ def reduce(forest, grouping, reduction, values):
     return res
 
 
-def _normalized_leaf(forest, merged, wl, wr):
+def _normalized_leaf(forest, exits, wl, wr):
     """Renormalize accumulated leaf weights, extracting the factor."""
     field = forest.field
     if not field.is_zero(wl):
         w = wl
-        lw, rw = field.one, field.mul(field.inverse(wl), wr)
+        lw, rw = field.one, field.mul(field.inv(wl), wr)
     elif not field.is_zero(wr):
         w = wr
         lw, rw = field.zero, field.one
@@ -135,20 +136,17 @@ def _normalized_leaf(forest, merged, wl, wr):
         # leaf's own weights irrelevant, so pick the normalized zero pair.
         w = field.zero
         lw, rw = field.zero, field.one
-    g = forest.dontcare(lw, rw) if merged else forest.fork(lw, rw)
-    return g, w
+    return forest.leaf(lw, rw, exits), w
 
 
 def _reduce_leaf(forest, grouping, reduction, values):
+    # The right branch ends at the last exit; ``reduction`` is
+    # leftmost-compact, so that exit's class is the new exit count.
     field = forest.field
-    if isinstance(grouping, DontCareGrouping):
-        v = values[0]
-        return _normalized_leaf(forest, True,
-                                field.mul(grouping.lw, v),
-                                field.mul(grouping.rw, v))
-    wl = field.mul(grouping.lw, values[0])
-    wr = field.mul(grouping.rw, values[1])
-    return _normalized_leaf(forest, reduction[0] == reduction[1], wl, wr)
+    right = grouping.number_of_exits
+    return _normalized_leaf(forest, reduction[right - 1],
+                            field.mul(grouping.lw, values[0]),
+                            field.mul(grouping.rw, values[right - 1]))
 
 
 def _reduce_internal(forest, grouping, reduction, values):
@@ -209,13 +207,9 @@ def pair_product(forest, g1, g2):
     elif level == 0:
         lw = field.mul(g1.lw, g2.lw)
         rw = field.mul(g1.rw, g2.rw)
-        fork1 = isinstance(g1, ForkGrouping)
-        fork2 = isinstance(g2, ForkGrouping)
-        if fork1 or fork2:
-            right = (2 if fork1 else 1, 2 if fork2 else 1)
-            res = (forest.fork(lw, rw), ((1, 1), right))
-        else:
-            res = (forest.dontcare(lw, rw), ((1, 1),))
+        right = (g1.number_of_exits, g2.number_of_exits)
+        pt = ((1, 1),) if right == (1, 1) else ((1, 1), right)
+        res = (forest.leaf(lw, rw, len(pt)), pt)
     else:
         a, pt_a = pair_product(forest, g1.a_connection, g2.a_connection)
         bs = []
@@ -259,14 +253,10 @@ def multiply(n1: Diagram, n2: Diagram) -> Diagram:
     g, pt = pair_product(forest, n1.head, n2.head)
     deduced = tuple(field.mul(n1.values[i1 - 1], n2.values[i2 - 1])
                     for i1, i2 in pt)
-    keys = [field.key(v) for v in deduced]
-    projected, rho = collapse_classes_leftmost(keys)
-    reps = {}
-    for v, k in zip(deduced, keys):
-        reps.setdefault(k, v)
+    reps, rho = collapse_classes_leftmost(deduced, field.key)
     reduced, w = reduce(forest, g, rho, deduced)
     factor = field.mul(w, field.mul(n1.factor, n2.factor))
-    return forest.diagram(factor, reduced, tuple(reps[k] for k in projected))
+    return forest.diagram(factor, reduced, reps)
 
 
 def weighted_pair_product(forest, g1, g2, p1, p2):
@@ -303,14 +293,13 @@ def weighted_pair_product(forest, g1, g2, p1, p2):
                          for k in range(1, g1.number_of_exits + 1)))
     elif level == 0:
         first = ((field.mul(p1, g1.lw), 1), (field.mul(p2, g2.lw), 1))
-        right1, right2 = _LEVEL0_RIGHT_EXITS[
-            isinstance(g1, ForkGrouping), isinstance(g2, ForkGrouping)]
-        second = ((field.mul(p1, g1.rw), right1),
-                  (field.mul(p2, g2.rw), right2))
+        second = ((field.mul(p1, g1.rw), g1.number_of_exits),
+                  (field.mul(p2, g2.rw), g2.number_of_exits))
         if _entry_key(field, first) == _entry_key(field, second):
-            res = (forest.dontcare(field.one, field.one), (first,))
+            pt = (first,)
         else:
-            res = (forest.fork(field.one, field.one), (first, second))
+            pt = (first, second)
+        res = (forest.leaf(field.one, field.one, len(pt)), pt)
     else:
         a, pt_a = weighted_pair_product(forest, g1.a_connection,
                                         g2.a_connection, p1, p2)
@@ -338,17 +327,6 @@ def weighted_pair_product(forest, g1, g2, p1, p2):
         res = (forest.internal(a, tuple(bs), tuple(rts)), tuple(pt_ans))
     cache[key] = res
     return res
-
-
-# Exit indices for the second (right-branch) descriptor row of the
-# level-0 table, by (is_fork(g1), is_fork(g2)).  A DontCare funnels both
-# branches to its single exit; a Fork's right branch is its exit 2.
-_LEVEL0_RIGHT_EXITS = {
-    (False, False): (1, 1),
-    (False, True): (1, 2),
-    (True, False): (2, 1),
-    (True, True): (2, 2),
-}
 
 
 def _entry_key(field, entry):

@@ -22,9 +22,10 @@ import cmath
 import math
 
 from .core import Diagram, Forest, evaluate
-from .construct import fold, hadamard_family, identity_matrix, not_matrix
-from .matrix import apply_matrix_to_vector, kronecker
-from .pointwise import add
+from .construct import (fold, hadamard_family, identity_matrix, not_matrix,
+                        scalar_multiply)
+from .matrix import apply_matrix_to_vector, kronecker, matrix_multiply
+from .pointwise import add, subtract
 from .sampling import SampleContext, measure_view, sample_assignment
 from .semifield import complex_field
 
@@ -199,6 +200,14 @@ def _single(forest, kind, theta=None):
     raise ValueError(f"unknown single-qubit gate {kind!r}")
 
 
+def _projector(forest, bit):
+    """The one-qubit projector |bit><bit|."""
+    field = forest.field
+    cells = [field.zero] * 4
+    cells[3 * bit] = field.one
+    return fold(forest, cells)
+
+
 def _kron_segment(forest, lo, hi, specials):
     """Kronecker product of per-qubit factors over [lo, hi).
 
@@ -222,7 +231,6 @@ def build_gate(forest: Forest, gate, n: int) -> Diagram:
     ("PHASE", theta, q), ("CNOT", a, b), or ("CP", theta, a, b).
     """
     p = _padded(n)
-    field = forest.field
     kind = gate[0]
     if kind in ("H", "X", "I"):
         q = gate[1]
@@ -241,10 +249,8 @@ def build_gate(forest: Forest, gate, n: int) -> Diagram:
         raise ValueError(f"unknown gate {gate!r}")
     if a == b:
         raise ValueError("control and target must differ")
-    p0 = fold(forest, [field.one, field.zero, field.zero, field.zero])
-    p1 = fold(forest, [field.zero, field.zero, field.zero, field.one])
-    rest = _kron_segment(forest, 0, p, {a: p0})
-    acting = _kron_segment(forest, 0, p, {a: p1, b: u})
+    rest = _kron_segment(forest, 0, p, {a: _projector(forest, 0)})
+    acting = _kron_segment(forest, 0, p, {a: _projector(forest, 1), b: u})
     return add(rest, acting)
 
 
@@ -416,68 +422,42 @@ def qft(n: int, basis: int = 0) -> Circuit:
 
 
 def grover(n: int, hidden: str, forest: Forest | None = None):
-    """Grover search at desk scale; returns (state, iterations).
+    """Grover search for one marked label; returns (state, iterations).
 
-    The phase oracle and the diffusion operator are folded from dense
-    tables, so n is capped at 4.
+    Both operators are built structurally over the padded register,
+    acting as the identity on the padding qubits:
+
+        oracle    = I - 2 (|w><w| (x) I_pad)
+        diffusion = H^n (2 (|0..0><0..0| (x) I_pad) - I) H^n
+
+    so the diagrams stay small and n is limited only by run time.
     """
-    if n > 4:
-        raise ValueError("grover is supported for n <= 4")
     if len(hidden) != n or set(hidden) - {"0", "1"}:
         raise ValueError("hidden string must be n bits of 0/1")
     if forest is None:
         forest = quantum_forest()
-    size = 1 << n
-    marked = int(hidden, 2)
-    oracle = _embedded_dense(
-        forest, n, lambda r, c:
-        (-1.0 if r == marked else 1.0) if r == c else 0.0)
-    mean = 2.0 / size
-    diffusion = _embedded_dense(
-        forest, n, lambda r, c: mean - (1.0 if r == c else 0.0))
+    field = forest.field
+    p = _padded(n)
+    two = field.add(field.one, field.one)
+    identity = identity_matrix(forest, _level(p))
+
+    def reflect_about(bits):
+        """I - 2 (|bits><bits| (x) I_pad)."""
+        projector = _kron_segment(forest, 0, p, {
+            q: _projector(forest, int(bit)) for q, bit in enumerate(bits)})
+        return subtract(identity, scalar_multiply(two, projector))
+
+    oracle = reflect_about(hidden)
+    hadamards = _kron_segment(forest, 0, p,
+                              {q: _single(forest, "H") for q in range(n)})
+    flip = scalar_multiply(field.minus_one, reflect_about("0" * n))
+    diffusion = matrix_multiply(hadamards, matrix_multiply(flip, hadamards))
     uniform = Circuit(n)
     for q in range(n):
         uniform.h(q)
     state = run_circuit(uniform, forest).diagram
-    iterations = max(1, math.floor(math.pi / 4 * math.sqrt(size)))
+    iterations = max(1, math.floor(math.pi / 4 * math.sqrt(1 << n)))
     for _ in range(iterations):
         state = apply_matrix_to_vector(oracle, state)
         state = apply_matrix_to_vector(diffusion, state)
     return QuantumState(n, state), iterations
-
-
-def _embedded_dense(forest, n, cell):
-    """Dense n-qubit operator padded with identity action to 2^k qubits.
-
-    ``cell(r, c)`` gives the entry over the logical qubits; the padded
-    table acts as the identity on the padding bits.
-    """
-    p = _padded(n)
-    shift = p - n
-    side = 1 << p
-    table = []
-    for r in range(side):
-        row = []
-        for c in range(side):
-            if shift and (r & ((1 << shift) - 1)) != (c & ((1 << shift) - 1)):
-                row.append(0.0)
-            else:
-                row.append(cell(r >> shift, c >> shift))
-        table.append(row)
-    return _matrix_from_dense(forest, table)
-
-
-def _matrix_from_dense(forest, table):
-    """Interleaved-order diagram of a dense 2^m x 2^m table, m a power of 2."""
-    side = len(table)
-    half = side.bit_length() - 1
-    flat = [None] * (side * side)
-    for r in range(side):
-        for c in range(side):
-            idx = 0
-            for j in range(half):
-                rb = (r >> (half - 1 - j)) & 1
-                cb = (c >> (half - 1 - j)) & 1
-                idx = (idx << 2) | (rb << 1) | cb
-            flat[idx] = table[r][c]
-    return fold(forest, flat)

@@ -15,7 +15,7 @@ pure product, hence the view's path weight is exactly |amplitude|^2.
 
 import random
 
-from .core import Diagram, DontCareGrouping, Forest, Grouping
+from .core import Diagram, Forest, Grouping
 
 __all__ = [
     "SampleContext",
@@ -44,7 +44,7 @@ def compute_weights(forest: Forest, grouping: Grouping):
     if hit is not None:
         return hit
     if grouping.level == 0:
-        if isinstance(grouping, DontCareGrouping):
+        if grouping.number_of_exits == 1:
             result = (field.add(grouping.lw, grouping.rw),)
         else:
             result = (grouping.lw, grouping.rw)
@@ -95,10 +95,7 @@ def measure_view(diagram: Diagram) -> Diagram:
         if got is not None:
             return got
         if g.level == 0:
-            if isinstance(g, DontCareGrouping):
-                out = vf.dontcare(sq(g.lw), sq(g.rw))
-            else:
-                out = vf.fork(sq(g.lw), sq(g.rw))
+            out = vf.leaf(sq(g.lw), sq(g.rw), g.number_of_exits)
         else:
             out = vf.internal(view(g.a_connection),
                               tuple(view(b) for b in g.b_connections),
@@ -200,7 +197,7 @@ def _middle_distribution(forest, g, i):
 
 def _sample(forest, g, i, rng):
     if g.level == 0:
-        if isinstance(g, DontCareGrouping):
+        if g.number_of_exits == 1:
             _require_nonneg(g.lw)
             _require_nonneg(g.rw)
             total = forest.field.add(g.lw, g.rw)

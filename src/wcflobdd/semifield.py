@@ -153,13 +153,6 @@ class Semifield:
         """Display form rounded to the canonical-key width."""
         return self.format(a)
 
-    # Contract-facing aliases.
-    def inverse(self, a):
-        return self.inv(a)
-
-    def canonical_key(self, a):
-        return self.key(a)
-
     def __repr__(self):
         return f"<semifield {self.name}>"
 

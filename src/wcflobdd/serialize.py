@@ -2,19 +2,21 @@
 
 The dump is a line format, one grouping per record in dependency order
 (children always precede their parents), so the loader can intern
-bottom-up.  Rational weights round-trip exactly, including the 2^e
-shorthand; float and complex weights are written with repr precision,
-which Python reads back bit-identically.  Loaded groupings are interned
+bottom-up.  The order is ``core.reachable_groupings`` reversed: a
+depth-first postorder that visits the A-connection before the
+B-connections, in middle order.  Rational weights round-trip exactly,
+including the 2^e shorthand; float and complex weights are written with
+repr precision, which Python reads back bit-identically.  Loaded groupings are interned
 but never marked canonical: the file is untrusted, and operations only
 lose a shortcut, not correctness, when the mark is absent.
 
 The DOT output draws one cluster per distinct grouping with entry,
 middle, and exit vertices, decision edges carrying weights at level 0
-and connection/return edges above.  All orderings derive from a
-postorder walk, so equal diagrams produce byte-equal text.
+and connection/return edges above.  It numbers groupings in the same
+postorder as the dump, so equal diagrams produce byte-equal text.
 """
 
-from .core import Diagram, DontCareGrouping, Forest, InternalGrouping
+from .core import Diagram, Forest, reachable_groupings
 from .semifield import field_by_name
 
 __all__ = ["dump_diagram", "load_diagram", "export_dot"]
@@ -41,33 +43,15 @@ def _weight_value(field, text):
     return complex(float(re_part), float(im_part))
 
 
-def _postorder(head):
-    order = []
-    seen = set()
-
-    def walk(g):
-        if id(g) in seen:
-            return
-        seen.add(id(g))
-        if isinstance(g, InternalGrouping):
-            walk(g.a_connection)
-            for b in g.b_connections:
-                walk(b)
-        order.append(g)
-
-    walk(head)
-    return order
-
-
 def dump_diagram(diagram: Diagram) -> str:
     """Serialize one diagram; see load_diagram for the inverse."""
     field = diagram.forest.field
-    order = _postorder(diagram.head)
+    order = reachable_groupings(diagram.head)[::-1]
     ids = {id(g): i for i, g in enumerate(order)}
     lines = [f"{_FORMAT_NAME} {_FORMAT_VERSION} {field.name}"]
     for i, g in enumerate(order):
         if g.level == 0:
-            kind = "dontcare" if isinstance(g, DontCareGrouping) else "fork"
+            kind = "dontcare" if g.number_of_exits == 1 else "fork"
             lines.append(f"g {i} {kind} {_weight_text(field, g.lw)} "
                          f"{_weight_text(field, g.rw)}")
         else:
@@ -113,8 +97,8 @@ def load_diagram(text: str, forest: Forest | None = None) -> Diagram:
                 gid, kind = int(parts[1]), parts[2]
                 lw = _weight_value(field, parts[3])
                 rw = _weight_value(field, parts[4])
-                make = forest.dontcare if kind == "dontcare" else forest.fork
-                groupings[gid] = make(lw, rw)
+                exits = 1 if kind == "dontcare" else 2
+                groupings[gid] = forest.leaf(lw, rw, exits)
                 i += 1
             elif parts[0] == "g" and parts[2] == "internal":
                 gid, level = int(parts[1]), int(parts[3])
@@ -151,7 +135,7 @@ def load_diagram(text: str, forest: Forest | None = None) -> Diagram:
 def export_dot(diagram: Diagram) -> str:
     """Graphviz text for a diagram; byte-stable for equal diagrams."""
     field = diagram.forest.field
-    order = _postorder(diagram.head)
+    order = reachable_groupings(diagram.head)[::-1]
     ids = {id(g): i for i, g in enumerate(order)}
     out = ["digraph wcflobdd {", "  rankdir=TB;",
            "  node [shape=circle, fontsize=10];"]
@@ -165,9 +149,8 @@ def export_dot(diagram: Diagram) -> str:
                            f"shape=doublecircle];")
             lw = _weight_text(field, g.lw)
             rw = _weight_text(field, g.rw)
-            right = 1 if isinstance(g, DontCareGrouping) else 2
             out.append(f"    g{i}_entry -> g{i}_exit1 [label=\"0/{lw}\"];")
-            out.append(f"    g{i}_entry -> g{i}_exit{right} "
+            out.append(f"    g{i}_entry -> g{i}_exit{g.number_of_exits} "
                        f"[label=\"1/{rw}\"];")
         else:
             for m in range(1, len(g.b_connections) + 1):

@@ -7,6 +7,8 @@ from wcflobdd.core import (Forest, StructureError, evaluate, evaluate_exit,
 from wcflobdd.construct import exp_family, fold, hadamard_family
 from wcflobdd.semifield import rational_field, real_field
 
+import oracle
+
 ONE = Fraction(1)
 ZERO = Fraction(0)
 
@@ -123,15 +125,21 @@ def test_size_anchors():
 
 def test_reachable_parents_first():
     f = Forest(rational_field())
-    d = exp_family(f, 8)
-    order = reachable_groupings(d.head)
-    pos = {id(g): i for i, g in enumerate(order)}
-    for g in order:
-        if g.level > 0:
-            assert pos[id(g.a_connection)] > pos[id(g)]
-            for b in g.b_connections:
-                assert pos[id(b)] > pos[id(g)]
-    assert len({id(g) for g in order}) == len(order)
+    # exp_family is a chain; the folds share children between parents.
+    diagrams = [exp_family(f, 8), fold(f, [Fraction(v) for v in [0, 1] * 8])]
+    rng = oracle.seeded(11)
+    for level in (2, 3):
+        for _ in range(20):
+            diagrams.append(fold(f, oracle.random_table(rng, 1 << level)))
+    for d in diagrams:
+        order = reachable_groupings(d.head)
+        pos = {id(g): i for i, g in enumerate(order)}
+        for g in order:
+            if g.level > 0:
+                assert pos[id(g.a_connection)] > pos[id(g)]
+                for b in g.b_connections:
+                    assert pos[id(b)] > pos[id(g)]
+        assert len({id(g) for g in order}) == len(order)
 
 
 def test_validate_flags_unnormalized_weights():

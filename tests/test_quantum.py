@@ -142,7 +142,8 @@ def test_ghz_grows_linearly():
 
 
 def test_grover_peaks_at_hidden():
-    for n, hidden in ((2, "10"), (3, "101"), (4, "0110")):
+    for n, hidden in ((2, "10"), (3, "101"), (4, "0110"), (8, "10110010"),
+                      (12, "011010011100")):
         state, iterations = grover(n, hidden)
         probs = [abs(a) ** 2 for a in state_vector(state)]
         peak = max(range(len(probs)), key=probs.__getitem__)

@@ -82,3 +82,33 @@ def test_load_rejects_bad_input():
         assert False
     except ValueError as e:
         assert "line 2" in str(e)
+
+
+def test_dump_record_order():
+    # Children precede parents; within a parent the A-connection comes
+    # before the B-connections, in middle order, and a shared grouping
+    # is written once, where the walk first meets it.
+    assert dump_diagram(identity_matrix(F, 1)) == (
+        "wcflobdd 1 rational\n"
+        "g 0 fork 1 1\n"
+        "g 1 fork 1 0\n"
+        "g 2 fork 0 1\n"
+        "g 3 internal 1 0 2\n"
+        "b 1 1,2\n"
+        "b 2 2,1\n"
+        "d 1 3 1 0\n")
+    assert dump_diagram(identity_matrix(F, 2)) == (
+        "wcflobdd 1 rational\n"
+        "g 0 fork 1 1\n"
+        "g 1 fork 1 0\n"
+        "g 2 fork 0 1\n"
+        "g 3 internal 1 0 2\n"
+        "b 1 1,2\n"
+        "b 2 2,1\n"
+        "g 4 dontcare 0 1\n"
+        "g 5 internal 1 4 1\n"
+        "b 4 1\n"
+        "g 6 internal 2 3 2\n"
+        "b 3 1,2\n"
+        "b 5 2\n"
+        "d 1 6 1 0\n")
