@@ -190,30 +190,31 @@ def unfold(diagram: Diagram):
     Exponential in the variable count; intended for desk-scale levels.
     """
     forest = diagram.forest
-    field = forest.field
+    mul = forest.field.mul
     memo = forest.cache("unfold_proto")
 
-    def proto_paths(g):
-        hit = memo.get(id(g))
-        if hit is not None:
-            return hit
+    def paths(g):
+        """(exit, path weight) of ``g`` per assignment, in order."""
         if g.level == 0:
-            result = (g.branch(0), g.branch(1))
-        else:
-            acc = []
-            for a_exit, a_weight in proto_paths(g.a_connection):
-                rt = g.b_return_tuples[a_exit - 1]
-                for b_exit, b_weight in proto_paths(
-                        g.b_connections[a_exit - 1]):
-                    acc.append((rt[b_exit - 1],
-                                field.mul(a_weight, b_weight)))
-            result = tuple(acc)
-        memo[id(g)] = result
-        return result
+            yield g.branch(0)
+            yield g.branch(1)
+            return
+        for a_exit, a_weight in memo_paths(g.a_connection):
+            rt = g.b_return_tuples[a_exit - 1]
+            for b_exit, b_weight in memo_paths(g.b_connections[a_exit - 1]):
+                yield rt[b_exit - 1], mul(a_weight, b_weight)
 
-    return [field.mul(diagram.factor,
-                      field.mul(w, diagram.values[e - 1]))
-            for e, w in proto_paths(diagram.head)]
+    def memo_paths(g):
+        hit = memo.get(id(g))
+        if hit is None:
+            hit = memo[id(g)] = tuple(paths(g))
+        return hit
+
+    # The head's path list would be as long as the output, so it is
+    # walked rather than memoized. The products keep evaluate's order.
+    factor, values = diagram.factor, diagram.values
+    return [mul(factor, mul(w, values[e - 1]))
+            for e, w in paths(diagram.head)]
 
 
 def scalar_multiply(scalar, diagram: Diagram) -> Diagram:
@@ -318,26 +319,29 @@ def identity_matrix(forest: Forest, l: int) -> Diagram:
     if l < 1:
         raise ValueError("identity_matrix needs level >= 1")
     field = forest.field
+    return forest.diagram(field.one, identity_proto(forest, l),
+                          (field.one, field.zero))
+
+
+def identity_proto(forest: Forest, level: int):
+    """Head grouping of ``identity_matrix(forest, level)``."""
     cache = forest.cache("identity_proto")
-
-    def proto(level):
-        g = cache.get(level)
-        if g is None:
-            if level == 1:
-                a = forest.fork(field.one, field.one)
-                b1 = forest.fork(field.one, field.zero)
-                b2 = forest.fork(field.zero, field.one)
-                g = forest.internal(a, (b1, b2), ((1, 2), (2, 1)))
-            else:
-                below = proto(level - 1)
-                g = forest.internal(below,
-                                    (below, forest.zero_proto(level - 1)),
-                                    ((1, 2), (2,)))
-            forest.mark_canonical(g)
-            cache[level] = g
-        return g
-
-    return forest.diagram(field.one, proto(l), (field.one, field.zero))
+    g = cache.get(level)
+    if g is None:
+        field = forest.field
+        if level == 1:
+            a = forest.fork(field.one, field.one)
+            b1 = forest.fork(field.one, field.zero)
+            b2 = forest.fork(field.zero, field.one)
+            g = forest.internal(a, (b1, b2), ((1, 2), (2, 1)))
+        else:
+            below = identity_proto(forest, level - 1)
+            g = forest.internal(below,
+                                (below, forest.zero_proto(level - 1)),
+                                ((1, 2), (2,)))
+        forest.mark_canonical(g)
+        cache[level] = g
+    return g
 
 
 def not_matrix(forest: Forest, l: int) -> Diagram:

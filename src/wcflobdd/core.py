@@ -148,12 +148,16 @@ def _check_return_tuples(b_connections, b_return_tuples):
     return seen_max
 
 
-def _unique_key(field, g):
-    """Unique-table key: groupings with equal keys are the same grouping."""
-    if g.level == 0:
-        return (g.number_of_exits, field.key(g.lw), field.key(g.rw))
-    return (g.level, id(g.a_connection), tuple(map(id, g.b_connections)),
-            g.b_return_tuples)
+# Unique-table keys: groupings with equal keys are the same grouping.
+
+
+def _leaf_key(field, exits, lw, rw):
+    return (exits, field.key(lw), field.key(rw))
+
+
+def _internal_key(level, a_connection, b_connections, b_return_tuples):
+    return (level, id(a_connection), tuple(map(id, b_connections)),
+            b_return_tuples)
 
 
 def _duplicate_middles(b_connections, b_return_tuples):
@@ -193,17 +197,15 @@ class Forest:
 
     # -- interning ---------------------------------------------------
 
-    def _intern(self, g):
-        """The interned grouping with the same structure as ``g``."""
-        return self._grouping_table.setdefault(_unique_key(self.field, g), g)
-
     def leaf(self, lw, rw, exits) -> LeafGrouping:
         """Level-0 grouping with 1 (don't-care) or 2 (fork) exits."""
-        new = LeafGrouping(lw, rw, exits)
-        g = self._intern(new)
         f = self.field
-        if g is new and (f.is_one(lw) or (f.is_zero(lw) and f.is_one(rw))):
-            self._canonical_ids.add(id(g))
+        key = _leaf_key(f, exits, lw, rw)
+        g = self._grouping_table.get(key)
+        if g is None:
+            g = self._grouping_table[key] = LeafGrouping(lw, rw, exits)
+            if f.is_one(lw) or (f.is_zero(lw) and f.is_one(rw)):
+                self._canonical_ids.add(id(g))
         return g
 
     def fork(self, lw, rw) -> LeafGrouping:
@@ -217,15 +219,21 @@ class Forest:
         b_connections = tuple(b_connections)
         b_return_tuples = tuple(tuple(rt) for rt in b_return_tuples)
         level = a_connection.level + 1
+        key = _internal_key(level, a_connection, b_connections,
+                            b_return_tuples)
+        g = self._grouping_table.get(key)
+        if g is not None:
+            # Same parts as a grouping that passed the checks below.
+            return g
         if len(b_connections) != a_connection.number_of_exits:
             raise StructureError("middle count != A-connection exits")
         for b in b_connections:
             if b.level != a_connection.level:
                 raise StructureError("A- and B-connection levels differ")
         exits = _check_return_tuples(b_connections, b_return_tuples)
-        return self._intern(InternalGrouping(level, a_connection,
-                                             b_connections, b_return_tuples,
-                                             exits))
+        g = self._grouping_table[key] = InternalGrouping(
+            level, a_connection, b_connections, b_return_tuples, exits)
+        return g
 
     def diagram(self, factor, head, values) -> Diagram:
         f = self.field
@@ -491,7 +499,12 @@ def validate(diagram: Diagram) -> list:
 
     by_key = {}
     for g in groupings:
-        other = by_key.setdefault(_unique_key(field, g), g)
+        if g.level == 0:
+            key = _leaf_key(field, g.number_of_exits, g.lw, g.rw)
+        else:
+            key = _internal_key(g.level, g.a_connection, g.b_connections,
+                                g.b_return_tuples)
+        other = by_key.setdefault(key, g)
         if other is not g:
             out.append(f"duplicate structure not interned: {g!r}")
 

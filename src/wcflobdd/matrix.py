@@ -15,7 +15,7 @@ pairs to nonzero coefficients; the empty dict is the zero polynomial.
 """
 
 from .core import Diagram, StructureError, evaluate, is_zero_diagram
-from .construct import identity_matrix
+from .construct import identity_matrix, identity_proto
 from .pointwise import (_common_forest, collapse_classes_leftmost,
                         insert_b_connection, reduce, weighted_pair_product)
 
@@ -50,13 +50,19 @@ def bp_scale(field, n, bp):
     return {pair: field.mul(n, coeff) for pair, coeff in bp.items()}
 
 
-def _bp_key(field, bp):
-    return tuple(sorted((pair, field.key(coeff)) for pair, coeff in bp.items()))
-
-
 def _collapse_bps(field, bps):
     """Classes of equal polynomials: (representatives, renumbering)."""
-    return collapse_classes_leftmost(bps, lambda bp: _bp_key(field, bp))
+    coeff_key = field.key
+
+    def bp_key(bp):
+        # One term needs no sorting: 280 k of 365 k polynomials in a
+        # fifth of criterion 3's operations.
+        if len(bp) == 1:
+            for pair, coeff in bp.items():
+                return ((pair, coeff_key(coeff)),)
+        return tuple(sorted(zip(bp, map(coeff_key, bp.values()))))
+
+    return collapse_classes_leftmost(bps, bp_key)
 
 
 def _bp_remap(bp, rt1, rt2):
@@ -154,7 +160,7 @@ def _mat_mult_groupings(forest, g1, g2):
 
     level = g1.level
     zp = forest.zero_proto(level)
-    ip = identity_matrix(forest, level).head
+    ip = identity_proto(forest, level)
     if g1 is zp or g2 is zp:
         res = (zp, ({},), field.zero)
     elif g1 is ip:

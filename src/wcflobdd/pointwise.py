@@ -90,6 +90,14 @@ def reduce(forest, grouping, reduction, values):
     n = grouping.number_of_exits
     reduction = tuple(reduction)
     values = tuple(values)
+    field = forest.field
+    cache = forest.cache("reduce")
+    value_keys = tuple(map(field.key, values))
+    key = (id(grouping), reduction, value_keys)
+    hit = cache.get(key)
+    if hit is not None:
+        # The same arguments passed the checks below when first seen.
+        return hit
     if len(reduction) != n or len(values) != n:
         raise ValueError(
             f"reduction and values must have length {n}, "
@@ -97,19 +105,12 @@ def reduce(forest, grouping, reduction, values):
     if collapse_classes_leftmost(reduction)[1] != reduction:
         raise ValueError(f"reduction tuple {reduction} is not leftmost-compact")
 
-    field = forest.field
-    cache = forest.cache("reduce")
-    key = (id(grouping), reduction, tuple(field.key(v) for v in values))
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-
     zero = all(field.is_zero(v) for v in values)
     if zero and len(set(reduction)) == 1:
         res = (forest.zero_proto(grouping.level), field.zero)
     elif (not zero
           and reduction == tuple(range(1, n + 1))
-          and len({field.key(v) for v in values}) == 1
+          and len(set(value_keys)) == 1
           and not field.is_zero(values[0])
           and forest.is_marked_canonical(grouping)):
         # Nothing to merge and a uniform value to factor straight out.

@@ -7,6 +7,7 @@ back out.
 """
 
 import cmath
+import functools
 import math
 import random
 from fractions import Fraction
@@ -32,22 +33,29 @@ def _cell_index(r, c, half):
     return idx
 
 
+@functools.lru_cache(maxsize=None)
+def _cell_indices(half):
+    """``_cell_index`` of every cell, rows-by-cols order, flattened."""
+    side = 1 << half
+    return tuple(_cell_index(r, c, half)
+                 for r in range(side) for c in range(side))
+
+
 def to_dense(d):
     """Rows-by-cols table of a matrix diagram's entries."""
     flat = unfold(d)
     half = 1 << (d.level - 1)
     side = 1 << half
-    return [[flat[_cell_index(r, c, half)] for c in range(side)]
-            for r in range(side)]
+    cells = [flat[i] for i in _cell_indices(half)]
+    return [cells[r * side:(r + 1) * side] for r in range(side)]
 
 
 def from_dense(forest, table):
     side = len(table)
     half = side.bit_length() - 1
     flat = [None] * (side * side)
-    for r in range(side):
-        for c in range(side):
-            flat[_cell_index(r, c, half)] = table[r][c]
+    for i, v in zip(_cell_indices(half), (v for row in table for v in row)):
+        flat[i] = v
     return fold(forest, flat)
 
 

@@ -7,7 +7,9 @@ from wcflobdd.core import Forest, evaluate, size, validate
 from wcflobdd.construct import (exp_family, fold, hadamard_family,
                                 identity_matrix, not_matrix, scalar_multiply,
                                 tree_to_weighted_tree, unfold, walsh_family)
-from wcflobdd.semifield import Pow2, rational_field, real_field
+from wcflobdd.quantum import qft, run_circuit
+from wcflobdd.semifield import (Pow2, complex_field, rational_field,
+                                real_field)
 
 import oracle
 
@@ -28,6 +30,19 @@ def test_fold_unfold_round_trip():
             assert unfold(d) == table
             assert d.level == level
             assert validate(d) == []
+
+
+def test_unfold_matches_evaluate_exactly():
+    # unfold multiplies in evaluate's order, so floating entries agree
+    # bit for bit, not just within rounding.
+    rng = random.Random(11)
+    table = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+             for _ in range(256)]
+    for d in (fold(Forest(complex_field()), table),
+              run_circuit(qft(4, 5)).diagram):
+        n = d.num_variables
+        for i, v in enumerate(unfold(d)):
+            assert v == evaluate(d, format(i, f"0{n}b"))
 
 
 def test_fold_is_canonical():
