@@ -39,7 +39,6 @@ from .core import (
 from .construct import (
     fold,
     unfold,
-    tree_to_weighted_tree,
     scalar_multiply,
     exp_family,
     walsh_family,
@@ -75,7 +74,6 @@ __all__ = [
     "validate",
     "fold",
     "unfold",
-    "tree_to_weighted_tree",
     "scalar_multiply",
     "exp_family",
     "walsh_family",

@@ -33,7 +33,6 @@ from .semifield import field_by_name
 REPORT_FIELDS = ("suite", "bench", "param", "instance", "time_s",
                  "groupings", "vertices", "edges", "total", "status")
 
-_QUANTUM_CAPS = {"GHZ": 4096, "BV": 256, "DJ": 256, "QFT": 16}
 _QUANTUM_DEFAULTS = {"GHZ": (16, 256, 4096), "BV": (8, 64, 256),
                      "DJ": (8, 64, 256), "QFT": (4, 8, 16)}
 
@@ -178,11 +177,20 @@ def _synthetic_units(params, instance):
         return go
 
     def b4(l):
-        return lambda: add(
-            matrix_multiply(hadamard_family(forest, l),
-                            identity_matrix(forest, l)),
-            matrix_multiply(identity_matrix(forest, l),
-                            not_matrix(forest, l)))
+        def go():
+            result = add(
+                matrix_multiply(hadamard_family(forest, l),
+                                identity_matrix(forest, l)),
+                matrix_multiply(identity_matrix(forest, l),
+                                not_matrix(forest, l)))
+            # X is 0 at the all-zeros cell, so H's 2^(-m/2) is the value.
+            want = 2.0 ** -((1 << (l - 1)) / 2)
+            got = evaluate(result, [0] * (1 << l))
+            if abs(got - want) > 1e-9 * want:
+                raise ValueError(f"H*I + I*X is {got} at the all-zeros "
+                                 f"cell, not {want}")
+            return result
+        return go
 
     def b5(l):
         def go():
@@ -250,10 +258,6 @@ def _quantum_units(params, seed):
     units = []
     for bench in ("GHZ", "BV", "DJ", "QFT"):
         for n in (params or _QUANTUM_DEFAULTS[bench]):
-            if n > _QUANTUM_CAPS[bench]:
-                print(f"{bench} n={n} exceeds the desk-scale cap "
-                      f"{_QUANTUM_CAPS[bench]}, skipping", file=sys.stderr)
-                continue
             units.append((bench, n, "complex", makers[bench](n)))
     return units
 
@@ -369,7 +373,7 @@ def _build_parser():
     p.add_argument("--params", type=lambda s: [int(x) for x in s.split(",")],
                    default=None, metavar="N,N,...",
                    help="levels (synthetic/separation) or qubit counts "
-                        "(quantum; caps GHZ 4096, BV/DJ 256, QFT 16)")
+                        "(quantum)")
     p.add_argument("--timeout", type=float, default=900.0,
                    help="per-benchmark budget in seconds (cooperative)")
     p.add_argument("--seed", type=int, default=0,

@@ -1,34 +1,39 @@
 """Canonical construction: constants, fold/unfold, named families.
 
-The fold is the two-step canonicalization that underlies every
-canonicity argument in the package:
+``fold`` canonicalizes a flat leaf array in one recursion over parallel
+lists of leaf weights and exit labels; every canonicity argument in the
+package rests on it:
 
-1. ``tree_to_weighted_tree`` normalizes a decision tree so every node
-   carries edge weights (1, v1_inverse * v2), or (0, 1) when the left
-   subtree is identically zero, leaves carry 0 or 1, and a single
-   extracted factor scales the whole tree.
-2. ``fold`` collapses the normalized tree into interned groupings by
-   forming equivalence classes of half-trees, first occurrences
-   enumerated in a left-to-right sweep.
+1. With two leaves, ``Forest.normalized_leaf`` makes the level-0
+   grouping: the left weight is 1, or the weights are (0, 1) when the
+   left leaf is zero, and the leftmost nonzero weight comes back as the
+   block's factor.  Leaves share an exit exactly when their labels are
+   equal.
+2. With more leaves, each of the sqrt(n) blocks folds first.  The list
+   of block factors, labelled by (grouping, exit labels), then folds
+   into the A-connection; its distinct labels give the B-connections in
+   first-occurrence order, and ``collapse_rows`` numbers the exits over
+   their exit labels.
 
-``unfold`` is the inverse direction (diagram to flat leaf array);
-``fold(unfold(c)) is c`` is the canonicity round-trip the test suite
-leans on. Both directions are exponential in the variable count by
-nature and meant for desk-scale levels.
+The top-level labels are the 0/1 terminal values, and the one factor
+that remains scales the whole diagram.  ``unfold`` is the inverse
+direction (diagram to flat leaf array); ``fold(unfold(c)) is c`` is the
+canonicity round-trip the test suite leans on. Both directions are
+exponential in the variable count by nature and meant for desk-scale
+levels.
 
 The named families (EXP, Walsh/Hadamard, identity, NOT) are built
 structurally rather than by folding, so they stay cheap at high
-levels; tests assert they coincide with folds where feasible.
+levels; Walsh, identity and NOT fold only their 2x2 base and share one
+tower builder. Tests assert they coincide with folds where feasible.
 """
 
 from __future__ import annotations
 
-from .core import Diagram, Forest
+from .core import Diagram, Forest, collapse_rows
 from .semifield import Pow2, RationalSemifield
 
 __all__ = [
-    "tree_from_values",
-    "tree_to_weighted_tree",
     "fold",
     "unfold",
     "scalar_multiply",
@@ -40,148 +45,46 @@ __all__ = [
 ]
 
 
-def tree_from_values(values):
-    """Nested pair tree from a flat leaf array (length a power of two)."""
-    n = len(values)
-    if n == 1:
-        return values[0]
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"leaf count {n} is not a power of two")
-    half = n // 2
-    return (tree_from_values(values[:half]), tree_from_values(values[half:]))
+def _fold(forest, weights, labels):
+    """Fold one block; returns (grouping, factor, exit labels).
 
-
-def tree_to_weighted_tree(field, tree):
-    """Normalize a decision tree; returns (factor, weighted tree).
-
-    A weighted tree is a leaf weight (0 or 1 of the field) or a
-    4-tuple (left weight, right weight, left subtree, right subtree).
-    The factor times the edge-weight product along the path to any
-    leaf, times the leaf's 0/1, reproduces the original leaf value;
-    the leftmost nonzero path keeps weight product 1.
+    ``weights`` and ``labels`` are parallel leaf lists (``labels`` a
+    tuple); the exit labels come back in first-occurrence order.
     """
-
-    def norm(t):
-        if not isinstance(t, tuple):
-            if field.is_zero(t):
-                return field.zero, field.zero
-            return t, field.one
-        v1, w1 = norm(t[0])
-        v2, w2 = norm(t[1])
-        if field.is_zero(v1):
-            return v2, (field.zero, field.one, w1, w2)
-        return v1, (field.one, field.mul(field.inv(v1), v2), w1, w2)
-
-    return norm(tree)
-
-
-def _variable_count(wtree) -> int:
-    n = 0
-    t = wtree
-    while isinstance(t, tuple):
-        n += 1
-        t = t[2]
-    return n
+    n = len(weights)
+    if n == 2:
+        exits = 1 if labels[0] == labels[1] else 2
+        g, w = forest.normalized_leaf(exits, weights[0], weights[1])
+        return g, w, labels[:exits]
+    step = 1 << ((n.bit_length() - 1) // 2)
+    blocks = [_fold(forest, weights[i:i + step], labels[i:i + step])
+              for i in range(0, n, step)]
+    # Groupings hash by identity, so equal labels mean equal blocks.
+    a, w, middles = _fold(forest, [bw for _, bw, _ in blocks],
+                          tuple((g, exits) for g, _, exits in blocks))
+    exits, rts = collapse_rows([block_exits for _, block_exits in middles])
+    g = forest.internal(a, [b for b, _ in middles], rts)
+    forest.mark_canonical(g)
+    return g, w, exits
 
 
-def _cut(t, depth, out):
-    if depth == 0:
-        out.append(t)
-        return
-    _cut(t[2], depth - 1, out)
-    _cut(t[3], depth - 1, out)
-
-
-def _graft(t, depth, leaves):
-    if depth == 0:
-        return next(leaves)
-    return (t[0], t[1],
-            _graft(t[2], depth - 1, leaves),
-            _graft(t[3], depth - 1, leaves))
-
-
-def _label_leaves(field, t):
-    if not isinstance(t, tuple):
-        return field.key(t)
-    return (t[0], t[1], _label_leaves(field, t[2]), _label_leaves(field, t[3]))
-
-
-def _fold_proto(forest, t, nvars, memo):
-    """Fold of one normalized block; returns (grouping, exit labels).
-
-    ``t`` is a weighted tree whose leaves are hashable labels; the exit
-    labels come back in first-occurrence order. Shared subtree content
-    folds once through ``memo``.
-    """
-    mkey = (nvars, t)
-    hit = memo.get(mkey)
-    if hit is not None:
-        return hit
-    if nvars == 1:
-        lw, rw, llab, rlab = t
-        labels = (llab,) if llab == rlab else (llab, rlab)
-        result = forest.leaf(lw, rw, len(labels)), labels
-    else:
-        half = nvars // 2
-        # The lower blocks sit `half` node levels deep (one level per
-        # variable the upper half consumes).
-        subs = []
-        _cut(t, half, subs)
-        folded = [_fold_proto(forest, s, half, memo) for s in subs]
-        pair_labels = [(id(g), labels) for g, labels in folded]
-        by_label = dict(zip(pair_labels, folded))
-        upper = _graft(t, half, iter(pair_labels))
-        a_conn, a_labels = _fold_proto(forest, upper, half, memo)
-        exit_class = {}
-        b_connections = []
-        b_return_tuples = []
-        for pl in a_labels:
-            g_m, labels_m = by_label[pl]
-            rt = []
-            for lab in labels_m:
-                c = exit_class.get(lab)
-                if c is None:
-                    c = len(exit_class) + 1
-                    exit_class[lab] = c
-                rt.append(c)
-            b_connections.append(g_m)
-            b_return_tuples.append(tuple(rt))
-        g = forest.internal(a_conn, b_connections, b_return_tuples)
-        forest.mark_canonical(g)
-        out_labels = tuple(sorted(exit_class, key=exit_class.get))
-        result = g, out_labels
-    memo[mkey] = result
-    return result
-
-
-def _check_variable_count(nvars: int):
-    # Valid variable counts are 2^k; the leaf count is then 2^(2^k).
-    if nvars < 1 or nvars & (nvars - 1):
-        leaves = 1 << nvars if nvars < 64 else "2^" + str(nvars)
-        raise ValueError(f"leaf count {leaves} is not 2^(2^k)")
-
-
-def fold(forest: Forest, tree) -> Diagram:
-    """Canonical diagram of a decision tree (flat array or nested pairs).
+def fold(forest: Forest, values) -> Diagram:
+    """Canonical diagram of a flat leaf array, in assignment order.
 
     The leaf count must be 2**(2**k) for some level k >= 0.
     """
-    if isinstance(tree, list):
-        tree = tree_from_values(tree)
     field = forest.field
-    factor, wtree = tree_to_weighted_tree(field, tree)
-    return fold_weighted(forest, factor, wtree)
-
-
-def fold_weighted(forest: Forest, factor, wtree) -> Diagram:
-    """Fold an already-normalized weighted tree under a factor."""
-    field = forest.field
-    nvars = _variable_count(wtree)
-    _check_variable_count(nvars)
-    head, labels = _fold_proto(forest, _label_leaves(field, wtree), nvars, {})
-    zero_key = field.key(field.zero)
-    values = [field.zero if lab == zero_key else field.one for lab in labels]
-    return forest.diagram(factor, head, values)
+    zero, one = field.zero, field.one
+    # Values that key as zero fold as the exact zero, so a float table
+    # holding 1e-12 or -0.0 folds like the one holding 0.
+    values = [zero if field.is_zero(v) else v for v in values]
+    n = len(values)
+    nvars = n.bit_length() - 1
+    if n < 2 or n & (n - 1) or nvars & (nvars - 1):
+        raise ValueError(f"leaf count {n} is not 2^(2^k)")
+    labels = tuple(zero if v is zero else one for v in values)
+    head, factor, exits = _fold(forest, values, labels)
+    return forest.diagram(factor, head, exits)
 
 
 def unfold(diagram: Diagram):
@@ -269,22 +172,47 @@ def exp_family(forest: Forest, n: int) -> Diagram:
     return forest.diagram(field.one, head, (field.one,))
 
 
-def _walsh_proto(forest: Forest, level: int):
-    field = forest.field
-    cache = forest.cache("walsh_proto")
+def _tower(forest: Forest, name: str, level: int, cells, step):
+    """Head grouping of a matrix family at ``level``, cached under ``name``.
+
+    Level 1 folds ``cells``, the names of the four field constants of
+    the 2x2 matrix in interleaved order. Each level above wires the
+    level below as ``step(below, zero proto)``, which returns the
+    B-connections and return tuples.
+    """
+    cache = forest.cache(name)
     g = cache.get(level)
     if g is None:
         if level == 1:
-            a = forest.fork(field.one, field.one)
-            b1 = forest.dontcare(field.one, field.one)
-            b2 = forest.dontcare(field.one, field.minus_one)
-            g = forest.internal(a, (b1, b2), ((1,), (1,)))
+            g = fold(forest, [getattr(forest.field, c) for c in cells]).head
         else:
-            below = _walsh_proto(forest, level - 1)
-            g = forest.internal(below, (below,), ((1,),))
+            below = _tower(forest, name, level - 1, cells, step)
+            g = forest.internal(
+                below, *step(below, forest.zero_proto(level - 1)))
         forest.mark_canonical(g)
         cache[level] = g
     return g
+
+
+_WALSH_CELLS = ("one", "one", "one", "minus_one")
+_IDENTITY_CELLS = ("one", "zero", "zero", "one")
+_NOT_CELLS = ("zero", "one", "one", "zero")
+
+
+def _walsh_step(below, zero):
+    return (below,), ((1,),)
+
+
+def _identity_step(below, zero):
+    return (below, zero), ((1, 2), (2,))
+
+
+def _not_step(below, zero):
+    return (zero, below), ((1,), (1, 2))
+
+
+def _walsh_proto(forest: Forest, level: int):
+    return _tower(forest, "walsh_proto", level, _WALSH_CELLS, _walsh_step)
 
 
 def walsh_family(forest: Forest, l: int) -> Diagram:
@@ -325,23 +253,8 @@ def identity_matrix(forest: Forest, l: int) -> Diagram:
 
 def identity_proto(forest: Forest, level: int):
     """Head grouping of ``identity_matrix(forest, level)``."""
-    cache = forest.cache("identity_proto")
-    g = cache.get(level)
-    if g is None:
-        field = forest.field
-        if level == 1:
-            a = forest.fork(field.one, field.one)
-            b1 = forest.fork(field.one, field.zero)
-            b2 = forest.fork(field.zero, field.one)
-            g = forest.internal(a, (b1, b2), ((1, 2), (2, 1)))
-        else:
-            below = identity_proto(forest, level - 1)
-            g = forest.internal(below,
-                                (below, forest.zero_proto(level - 1)),
-                                ((1, 2), (2,)))
-        forest.mark_canonical(g)
-        cache[level] = g
-    return g
+    return _tower(forest, "identity_proto", level, _IDENTITY_CELLS,
+                  _identity_step)
 
 
 def not_matrix(forest: Forest, l: int) -> Diagram:
@@ -349,23 +262,7 @@ def not_matrix(forest: Forest, l: int) -> Diagram:
     if l < 1:
         raise ValueError("not_matrix needs level >= 1")
     field = forest.field
-    cache = forest.cache("not_proto")
-
-    def proto(level):
-        g = cache.get(level)
-        if g is None:
-            if level == 1:
-                a = forest.fork(field.one, field.one)
-                b1 = forest.fork(field.zero, field.one)
-                b2 = forest.fork(field.one, field.zero)
-                g = forest.internal(a, (b1, b2), ((1, 2), (2, 1)))
-            else:
-                below = proto(level - 1)
-                g = forest.internal(below,
-                                    (forest.zero_proto(level - 1), below),
-                                    ((1,), (1, 2)))
-            forest.mark_canonical(g)
-            cache[level] = g
-        return g
-
-    return forest.diagram(field.one, proto(l), (field.zero, field.one))
+    return forest.diagram(field.one,
+                          _tower(forest, "not_proto", l, _NOT_CELLS,
+                                 _not_step),
+                          (field.zero, field.one))

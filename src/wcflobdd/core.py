@@ -41,6 +41,8 @@ __all__ = [
     "size",
     "validate",
     "reachable_groupings",
+    "collapse_classes_leftmost",
+    "collapse_rows",
 ]
 
 
@@ -214,6 +216,21 @@ class Forest:
     def dontcare(self, lw, rw) -> LeafGrouping:
         return self.leaf(lw, rw, 1)
 
+    def normalized_leaf(self, exits, wl, wr):
+        """Level-0 grouping for branch weights (wl, wr), and its factor.
+
+        The left weight becomes 1 unless it is 0; then the right weight
+        is 1 and carries the factor.  Returns ``(leaf, factor)`` with
+        ``factor * leaf weights == (wl, wr)``.
+        """
+        f = self.field
+        if not f.is_zero(wl):
+            return self.leaf(f.one, f.mul(f.inv(wl), wr), exits), wl
+        # Every path is weight-dead when wr is 0 as well; the factor 0
+        # then makes the leaf's own weights irrelevant.
+        w = f.zero if f.is_zero(wr) else wr
+        return self.leaf(f.zero, f.one, exits), w
+
     def internal(self, a_connection, b_connections,
                  b_return_tuples) -> InternalGrouping:
         b_connections = tuple(b_connections)
@@ -318,6 +335,52 @@ class Forest:
         return (f"<Forest {self.field.name}: "
                 f"{len(self._grouping_table)} "
                 f"groupings, {len(self._diagram_table)} diagrams>")
+
+
+# -- class collapse ---------------------------------------------------------
+
+
+def collapse_classes_leftmost(items, key=None):
+    """Group a sequence into classes, numbered by first occurrence.
+
+    Items fall in one class when ``key`` (the identity when omitted)
+    maps them to the same value.  Returns ``(projected, renumbered)``
+    where ``projected`` keeps the leftmost item of each class in order
+    of appearance and ``renumbered`` maps every position to the 1-based
+    index of its class in ``projected``.  For example
+    ``[x, x, y, x, z]`` gives ``((x, y, z), (1, 1, 2, 1, 3))``.
+    """
+    first = {}
+    projected = []
+    renumbered = []
+    for item in items:
+        k = item if key is None else key(item)
+        c = first.get(k)
+        if c is None:
+            c = len(projected) + 1
+            first[k] = c
+            projected.append(item)
+        renumbered.append(c)
+    return tuple(projected), tuple(renumbered)
+
+
+def collapse_rows(rows, key=None):
+    """One class collapse over the concatenated rows.
+
+    Returns ``(projected, return_tuples)``: ``projected`` as in
+    :func:`collapse_classes_leftmost`, and one tuple of class numbers
+    per row.  This numbers the exits of an internal grouping from the
+    exit labels of its B-connections, taken in middle order.
+    """
+    projected, renumbered = collapse_classes_leftmost(
+        [item for row in rows for item in row], key)
+    out = []
+    start = 0
+    for row in rows:
+        end = start + len(row)
+        out.append(renumbered[start:end])
+        start = end
+    return projected, tuple(out)
 
 
 # -- evaluation ---------------------------------------------------------

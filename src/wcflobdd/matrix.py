@@ -14,10 +14,11 @@ Bilinear polynomials are plain dicts mapping ``(ev1, ev2)`` exit-index
 pairs to nonzero coefficients; the empty dict is the zero polynomial.
 """
 
-from .core import Diagram, StructureError, evaluate, is_zero_diagram
+from .core import (Diagram, StructureError, collapse_classes_leftmost,
+                   collapse_rows, evaluate, is_zero_diagram)
 from .construct import identity_matrix, identity_proto
-from .pointwise import (_common_forest, collapse_classes_leftmost,
-                        insert_b_connection, reduce, weighted_pair_product)
+from .pointwise import (_common_forest, insert_b_connection, reduce,
+                        weighted_pair_product)
 
 __all__ = [
     "apply_matrix_to_vector",
@@ -95,14 +96,8 @@ def kronecker(n1: Diagram, n2: Diagram) -> Diagram:
         else:
             bs.append(n2.head)
             cells.append(tuple(field.mul(v1, v2) for v2 in n2.values))
-    values, classes = collapse_classes_leftmost(
-        [v for row in cells for v in row], field.key)
-    rts = []
-    offset = 0
-    for row in cells:
-        rts.append(classes[offset:offset + len(row)])
-        offset += len(row)
-    g = forest.internal(n1.head, tuple(bs), tuple(rts))
+    values, rts = collapse_rows(cells, field.key)
+    g = forest.internal(n1.head, bs, rts)
     forest.mark_canonical(g)
     return forest.diagram(field.mul(n1.factor, n2.factor), g, values)
 

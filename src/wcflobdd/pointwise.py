@@ -7,14 +7,17 @@ operand exits (``pair_product`` for multiplication, the weight-carrying
 each pair exit, then call ``reduce`` to merge exits that became
 indistinguishable and to push the combined values back into edge
 weights.  ``reduce`` is where canonicity is restored: its output is
-interned and satisfies the same normalization the tree fold produces.
+interned and satisfies the same normalization ``fold`` produces.
 
 The cross-product intermediates are ordinary interned groupings but are
 not themselves canonical (they may carry duplicate middles and
 non-normalized leaf weights); they only ever flow into ``reduce``.
 """
 
-from .core import Diagram, StructureError, is_zero_diagram
+from functools import partial
+
+from .core import (Diagram, StructureError, collapse_classes_leftmost,
+                   collapse_rows, is_zero_diagram)
 from .construct import scalar_multiply
 
 __all__ = [
@@ -27,30 +30,6 @@ __all__ = [
     "subtract",
     "weighted_pair_product",
 ]
-
-
-def collapse_classes_leftmost(items, key=None):
-    """Group a sequence into classes, numbered by first occurrence.
-
-    Items fall in one class when ``key`` (the identity when omitted)
-    maps them to the same value.  Returns ``(projected, renumbered)``
-    where ``projected`` keeps the leftmost item of each class in order
-    of appearance and ``renumbered`` maps every position to the 1-based
-    index of its class in ``projected``.  For example
-    ``[x, x, y, x, z]`` gives ``((x, y, z), (1, 1, 2, 1, 3))``.
-    """
-    first = {}
-    projected = []
-    renumbered = []
-    for item in items:
-        k = item if key is None else key(item)
-        c = first.get(k)
-        if c is None:
-            c = len(projected) + 1
-            first[k] = c
-            projected.append(item)
-        renumbered.append(c)
-    return tuple(projected), tuple(renumbered)
 
 
 def insert_b_connection(b_connections, b_return_tuples, grouping, return_tuple):
@@ -123,31 +102,14 @@ def reduce(forest, grouping, reduction, values):
     return res
 
 
-def _normalized_leaf(forest, exits, wl, wr):
-    """Renormalize accumulated leaf weights, extracting the factor."""
-    field = forest.field
-    if not field.is_zero(wl):
-        w = wl
-        lw, rw = field.one, field.mul(field.inv(wl), wr)
-    elif not field.is_zero(wr):
-        w = wr
-        lw, rw = field.zero, field.one
-    else:
-        # Every path through here is weight-dead; the factor 0 makes the
-        # leaf's own weights irrelevant, so pick the normalized zero pair.
-        w = field.zero
-        lw, rw = field.zero, field.one
-    return forest.leaf(lw, rw, exits), w
-
-
 def _reduce_leaf(forest, grouping, reduction, values):
     # The right branch ends at the last exit; ``reduction`` is
     # leftmost-compact, so that exit's class is the new exit count.
     field = forest.field
     right = grouping.number_of_exits
-    return _normalized_leaf(forest, reduction[right - 1],
-                            field.mul(grouping.lw, values[0]),
-                            field.mul(grouping.rw, values[right - 1]))
+    return forest.normalized_leaf(reduction[right - 1],
+                                  field.mul(grouping.lw, values[0]),
+                                  field.mul(grouping.rw, values[right - 1]))
 
 
 def _reduce_internal(forest, grouping, reduction, values):
@@ -214,26 +176,16 @@ def pair_product(forest, g1, g2):
     else:
         a, pt_a = pair_product(forest, g1.a_connection, g2.a_connection)
         bs = []
-        rts = []
-        pt_ans = []
-        index = {}
+        rows = []
         for i, j in pt_a:
             b, pt_b = pair_product(forest, g1.b_connections[i - 1],
                                    g2.b_connections[j - 1])
             rt1 = g1.b_return_tuples[i - 1]
             rt2 = g2.b_return_tuples[j - 1]
-            rt = []
-            for e1, e2 in pt_b:
-                pair = (rt1[e1 - 1], rt2[e2 - 1])
-                k = index.get(pair)
-                if k is None:
-                    k = len(pt_ans) + 1
-                    index[pair] = k
-                    pt_ans.append(pair)
-                rt.append(k)
             bs.append(b)
-            rts.append(tuple(rt))
-        res = (forest.internal(a, tuple(bs), tuple(rts)), tuple(pt_ans))
+            rows.append([(rt1[e1 - 1], rt2[e2 - 1]) for e1, e2 in pt_b])
+        pt_ans, rts = collapse_rows(rows)
+        res = (forest.internal(a, bs, rts), pt_ans)
     cache[key] = res
     return res
 
@@ -305,27 +257,17 @@ def weighted_pair_product(forest, g1, g2, p1, p2):
         a, pt_a = weighted_pair_product(forest, g1.a_connection,
                                         g2.a_connection, p1, p2)
         bs = []
-        rts = []
-        pt_ans = []
-        index = {}
+        rows = []
         for (q1, i), (q2, j) in pt_a:
             b, pt_b = weighted_pair_product(forest, g1.b_connections[i - 1],
                                             g2.b_connections[j - 1], q1, q2)
             rt1 = g1.b_return_tuples[i - 1]
             rt2 = g2.b_return_tuples[j - 1]
-            rt = []
-            for (f1, e1), (f2, e2) in pt_b:
-                entry = ((f1, rt1[e1 - 1]), (f2, rt2[e2 - 1]))
-                ek = _entry_key(field, entry)
-                k = index.get(ek)
-                if k is None:
-                    k = len(pt_ans) + 1
-                    index[ek] = k
-                    pt_ans.append(entry)
-                rt.append(k)
             bs.append(b)
-            rts.append(tuple(rt))
-        res = (forest.internal(a, tuple(bs), tuple(rts)), tuple(pt_ans))
+            rows.append([((f1, rt1[e1 - 1]), (f2, rt2[e2 - 1]))
+                         for (f1, e1), (f2, e2) in pt_b])
+        pt_ans, rts = collapse_rows(rows, partial(_entry_key, field))
+        res = (forest.internal(a, bs, rts), pt_ans)
     cache[key] = res
     return res
 

@@ -47,8 +47,6 @@ __all__ = [
     "state_vector",
 ]
 
-_GATE_ARITY = {"H": 1, "X": 1, "I": 1, "PHASE": 1, "CNOT": 2, "CP": 2}
-
 
 def quantum_forest() -> Forest:
     """A fresh forest over the complex instance."""
@@ -192,8 +190,6 @@ def _single(forest, kind, theta=None):
         return hadamard_family(forest, 1)
     if kind == "X":
         return not_matrix(forest, 1)
-    if kind == "I":
-        return identity_matrix(forest, 1)
     if kind == "PHASE":
         return fold(forest, [field.one, field.zero, field.zero,
                              cmath.exp(1j * theta)])
@@ -232,7 +228,7 @@ def build_gate(forest: Forest, gate, n: int) -> Diagram:
     """
     p = _padded(n)
     kind = gate[0]
-    if kind in ("H", "X", "I"):
+    if kind in ("H", "X"):
         q = gate[1]
         return _kron_segment(forest, 0, p, {q: _single(forest, kind)})
     if kind == "PHASE":

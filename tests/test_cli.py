@@ -35,6 +35,23 @@ def test_bench_synthetic_passes_identity_checks():
     assert all(line.endswith(",ok") for line in lines), rows
 
 
+def test_bench_synthetic_b4_checks_hadamard_value():
+    rows = run_cli("bench", "synthetic", "--params", "8",
+                   "--instance", "float", "--format", "json")
+    b4 = [row for row in json.loads(rows) if row["bench"] == "B4"]
+    # The float key rounds H_8's factor 2^-64 to zero, so H drops out of
+    # the sum and the value check fails. This row turns "ok" once weight
+    # keys keep significant digits (ROADMAP item 2).
+    assert [row["status"] for row in b4] == ["error"]
+
+
+def test_bench_quantum_runs_past_the_old_caps():
+    rows = json.loads(run_cli("bench", "quantum", "--params", "32",
+                              "--format", "json"))
+    assert [(row["bench"], row["status"]) for row in rows] == [
+        ("GHZ", "ok"), ("BV", "ok"), ("DJ", "ok"), ("QFT", "ok")]
+
+
 def test_bench_json_agrees_with_csv():
     csv_rows = run_cli("bench", "separation", "--params", "0,1").strip()
     json_rows = json.loads(run_cli("bench", "separation", "--params", "0,1",

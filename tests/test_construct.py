@@ -6,10 +6,11 @@ from fractions import Fraction
 from wcflobdd.core import Forest, evaluate, size, validate
 from wcflobdd.construct import (exp_family, fold, hadamard_family,
                                 identity_matrix, not_matrix, scalar_multiply,
-                                tree_to_weighted_tree, unfold, walsh_family)
+                                unfold, walsh_family)
 from wcflobdd.quantum import qft, run_circuit
 from wcflobdd.semifield import (Pow2, complex_field, rational_field,
                                 real_field)
+from wcflobdd.serialize import dump_diagram
 
 import oracle
 
@@ -74,16 +75,38 @@ def test_fold_rejects_bad_leaf_count():
         pass
 
 
-def test_tree_to_weighted_tree_normalizes():
-    field = rational_field()
-    factor, wt = tree_to_weighted_tree(field, (Fraction(2), Fraction(6)))
-    assert factor == 2
-    lw, rw, lt, rt = wt
-    assert lw == 1 and rw == 3
-    assert lt == field.one and rt == field.one
-    factor, wt = tree_to_weighted_tree(field, (Fraction(0), Fraction(5)))
-    assert factor == 5
-    assert wt[0] == 0 and wt[1] == 1
+def test_fold_normalizes_leaf_weights():
+    d = fold(F, [Fraction(2), Fraction(6)])
+    assert d.factor == 2
+    assert d.head.lw == 1 and d.head.rw == 3
+    assert d.values == (F.field.one,)
+    d = fold(F, [Fraction(0), Fraction(5)])
+    assert d.factor == 5
+    assert d.head.lw == 0 and d.head.rw == 1
+
+
+def test_fold_reads_any_flat_sequence():
+    rng = random.Random(8)
+    for n in (4, 16):
+        table = [WEIGHT_POOL[rng.randrange(6)] for _ in range(n)]
+        assert fold(F, tuple(table)) is fold(F, table)
+
+
+def test_fold_maps_near_zero_floats_to_zero():
+    # Entries that key as zero fold like exact zeros: same structure,
+    # same stored weights, in a fresh forest each time.
+    rng = random.Random(9)
+    for field, pool, near_zeros in (
+            (real_field, (0.0, 0.0, 1.0, -2.5, 0.75), (1e-12, -0.0)),
+            (complex_field, (0j, 0j, 1j, complex(-2.5, 1), complex(0.75)),
+             (complex(1e-12, -1e-12), complex(-0.0, -0.0)))):
+        for n in (4, 16, 16):
+            exact = [rng.choice(pool) for _ in range(n)]
+            noisy = [rng.choice(near_zeros) if v == 0 else v for v in exact]
+            want = fold(Forest(field()), exact)
+            got = fold(Forest(field()), noisy)
+            assert dump_diagram(got) == dump_diagram(want)
+            assert validate(got) == []
 
 
 def test_scalar_multiply():
