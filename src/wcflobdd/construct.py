@@ -94,7 +94,7 @@ def unfold(diagram: Diagram):
     """
     forest = diagram.forest
     mul = forest.field.mul
-    memo = forest.cache("unfold_proto")
+    memo = {}
 
     def paths(g):
         """(exit, path weight) of ``g`` per assignment, in order."""

@@ -162,22 +162,6 @@ def _internal_key(level, a_connection, b_connections, b_return_tuples):
             b_return_tuples)
 
 
-def _duplicate_middles(b_connections, b_return_tuples):
-    """True if some (B-connection, return tuple) pair repeats.
-
-    Cross-product intermediates legitimately carry duplicates (the
-    reduction step merges them), so this is audited by :func:`validate`
-    rather than enforced when a grouping is interned.
-    """
-    pairs = set()
-    for b, rt in zip(b_connections, b_return_tuples):
-        pair = (id(b), rt)
-        if pair in pairs:
-            return True
-        pairs.add(pair)
-    return False
-
-
 class Forest:
     """Owner of the unique tables and operation caches for one field.
 
@@ -582,7 +566,10 @@ def validate(diagram: Diagram) -> list:
             _check_return_tuples(g.b_connections, g.b_return_tuples)
         except StructureError as exc:
             out.append(f"{exc} in {g!r}")
-        if _duplicate_middles(g.b_connections, g.b_return_tuples):
+        # Cross products carry duplicate middles until reduce merges
+        # them, so interning allows them and only this audit rejects them.
+        middles = zip(g.b_connections, g.b_return_tuples)
+        if len(collapse_classes_leftmost(middles)[0]) != len(g.b_connections):
             out.append(f"duplicate (B-connection, return tuple) pair in {g!r}")
         if g.number_of_exits != max(t for rt in g.b_return_tuples
                                     for t in rt):

@@ -17,8 +17,7 @@ pairs to nonzero coefficients; the empty dict is the zero polynomial.
 from .core import (Diagram, StructureError, collapse_classes_leftmost,
                    collapse_rows, evaluate, is_zero_diagram)
 from .construct import identity_matrix, identity_proto
-from .pointwise import (_common_forest, insert_b_connection, reduce,
-                        weighted_pair_product)
+from .pointwise import _common_forest, reduce, weighted_pair_product
 
 __all__ = [
     "apply_matrix_to_vector",
@@ -195,15 +194,15 @@ def _mat_mult_base(forest, g1, g2):
     # realizes that cell partition with unit weights.
     reps, renumbered = _collapse_bps(field, bps)
     one = field.one
-    bs = []
-    rts = []
+    rows = []
     for r in (0, 1):
         left, right = renumbered[2 * r], renumbered[2 * r + 1]
         rt = (left,) if left == right else (left, right)
-        insert_b_connection(bs, rts, forest.leaf(one, one, len(rt)), rt)
+        rows.append((forest.leaf(one, one, len(rt)), rt))
     # The A-connection has one exit per distinct row.
-    a = forest.leaf(one, one, len(bs))
-    g = forest.internal(a, tuple(bs), tuple(rts))
+    middles, _ = collapse_classes_leftmost(rows)
+    a = forest.leaf(one, one, len(middles))
+    g = forest.internal(a, [b for b, _ in middles], [rt for _, rt in middles])
     return (g, reps, one)
 
 

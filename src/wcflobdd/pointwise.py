@@ -23,31 +23,12 @@ from .construct import scalar_multiply
 __all__ = [
     "add",
     "collapse_classes_leftmost",
-    "insert_b_connection",
     "multiply",
     "pair_product",
     "reduce",
     "subtract",
     "weighted_pair_product",
 ]
-
-
-def insert_b_connection(b_connections, b_return_tuples, grouping, return_tuple):
-    """Register a middle in an under-construction internal grouping.
-
-    ``b_connections`` and ``b_return_tuples`` are parallel lists being
-    assembled.  If the (grouping, return tuple) pair is already present
-    its existing 1-based position is returned; otherwise the pair is
-    appended.  This is the merge point that removes duplicate middles
-    produced by the cross products.
-    """
-    return_tuple = tuple(return_tuple)
-    for pos, (b, rt) in enumerate(zip(b_connections, b_return_tuples), start=1):
-        if b is grouping and rt == return_tuple:
-            return pos
-    b_connections.append(grouping)
-    b_return_tuples.append(return_tuple)
-    return len(b_connections)
 
 
 def reduce(forest, grouping, reduction, values):
@@ -113,9 +94,7 @@ def _reduce_leaf(forest, grouping, reduction, values):
 
 
 def _reduce_internal(forest, grouping, reduction, values):
-    bs = []
-    rts = []
-    positions = []
+    middles = []
     b_factors = []
     for b, rt in zip(grouping.b_connections, grouping.b_return_tuples):
         classes = tuple(reduction[t - 1] for t in rt)
@@ -124,17 +103,17 @@ def _reduce_internal(forest, grouping, reduction, values):
         h, w = reduce(forest, b, rho, vals)
         if h.number_of_exits != len(projected):
             raise StructureError("reduced B-connection lost exit classes")
-        positions.append(insert_b_connection(bs, rts, h, projected))
+        middles.append((h, projected))
         b_factors.append(w)
-    # Positions are handed out in first-occurrence order, so the position
-    # sequence is its own leftmost-compact renumbering; merging the
-    # A-connection's exits by position folds the duplicate middles away
-    # and absorbs the per-middle factors into the A-side weights.
-    a, w = reduce(forest, grouping.a_connection, tuple(positions),
-                  tuple(b_factors))
-    if a.number_of_exits != len(bs):
+    # Middles that reduced to the same (B-connection, return tuple) pair
+    # form one class. The class numbering is leftmost-compact, so merging
+    # the A-connection's exits by it folds the duplicate middles away and
+    # absorbs the per-middle factors into the A-side weights.
+    kept, positions = collapse_classes_leftmost(middles)
+    a, w = reduce(forest, grouping.a_connection, positions, tuple(b_factors))
+    if a.number_of_exits != len(kept):
         raise StructureError("reduced A-connection lost middle classes")
-    g = forest.internal(a, tuple(bs), tuple(rts))
+    g = forest.internal(a, [h for h, _ in kept], [rt for _, rt in kept])
     forest.mark_canonical(g)
     return g, w
 

@@ -129,7 +129,9 @@ class Circuit:
 
 
 def parse_circuit(text: str, n: int | None = None) -> Circuit:
-    """Circuit from one gate per line: H q | X q | CNOT c t | CP theta c t.
+    """Circuit from one gate per line.
+
+    Gates: H q | X q | PHASE theta q | CNOT c t | CP theta c t.
 
     Blank lines and lines starting with # are skipped.  The qubit count
     is inferred from the largest index unless given.

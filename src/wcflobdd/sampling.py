@@ -1,19 +1,23 @@
 """Path-weight totals and proportional assignment sampling.
 
-compute_weights aggregates, per exit of a grouping, the sum of weights
-over all matched paths from the entry vertex to that exit.  With those
-totals a path can be sampled without unfolding: at each grouping the
-middle vertex is drawn in proportion to (weight into the middle) *
-(weight from the middle to the target exit), then the two halves are
-sampled recursively and concatenated.
+One table per grouping, built bottom-up and memoized in the forest's
+``sample_cdf`` table, holds for each exit the draws that reach it and
+their running totals: a bit at level 0, and at an internal grouping a
+(middle, B-exit) pair weighted by (weight into the middle) * (weight
+from the middle to that B-exit).  An exit's last running total is its
+sum over matched paths (compute_weights).  A path is sampled without
+unfolding: each grouping picks a draw in proportion to its weight, then
+the two halves are sampled recursively and concatenated.
 
-Sampling presumes nonnegative real weights.  Quantum states carry
-signed or complex amplitudes, so measurement goes through measure_view,
-which squares every weight's magnitude; a matched path's weight is a
-pure product, hence the view's path weight is exactly |amplitude|^2.
+Leaf weights are checked to be nonnegative reals before any sum is
+formed, so no sum can cancel.  Quantum states carry signed or complex
+amplitudes, so measurement goes through measure_view, which squares
+every weight's magnitude; a matched path's weight is a pure product,
+hence the view's path weight is exactly |amplitude|^2.
 """
 
 import random
+from bisect import bisect_right
 
 from .core import Diagram, Forest, Grouping
 
@@ -37,29 +41,13 @@ class SampleContext:
 
 
 def compute_weights(forest: Forest, grouping: Grouping):
-    """Per-exit sums of matched-path weights, memoized per grouping."""
-    field = forest.field
-    cache = forest.cache("path_weights")
-    hit = cache.get(id(grouping))
-    if hit is not None:
-        return hit
-    if grouping.level == 0:
-        if grouping.number_of_exits == 1:
-            result = (field.add(grouping.lw, grouping.rw),)
-        else:
-            result = (grouping.lw, grouping.rw)
-    else:
-        wa = compute_weights(forest, grouping.a_connection)
-        totals = [field.zero] * grouping.number_of_exits
-        for i, (b, rt) in enumerate(zip(grouping.b_connections,
-                                        grouping.b_return_tuples)):
-            wb = compute_weights(forest, b)
-            for j, k in enumerate(rt):
-                totals[k - 1] = field.add(totals[k - 1],
-                                          field.mul(wa[i], wb[j]))
-        result = tuple(totals)
-    cache[id(grouping)] = result
-    return result
+    """Per-exit sums of matched-path weights.
+
+    Raises ValueError on a negative or complex weight, where a sum
+    could cancel.
+    """
+    return tuple(cumulative[-1]
+                 for _, cumulative in _distributions(forest, grouping))
 
 
 def measure_forest(forest: Forest) -> Forest:
@@ -128,15 +116,14 @@ def sample_assignment(diagram: Diagram, ctx: SampleContext) -> str:
     if target is None or diagram.factor == field.zero:
         raise ValueError("total path weight is zero")
     _require_nonneg(diagram.factor)
-    _check_weights(forest, diagram.head)
-    totals = compute_weights(forest, diagram.head)
-    total = totals[target - 1]
-    _require_nonneg(total)
+    total = compute_weights(forest, diagram.head)[target - 1]
     # Exact comparison: branch probabilities are ratios, so a total far
     # below the rounding key's resolution still defines a distribution.
     if total == field.zero:
         raise ValueError("total path weight is zero")
-    return _sample(forest, diagram.head, target, ctx.source)
+    # compute_weights has tabled every grouping below the head.
+    return _sample(forest.cache("sample_cdf"), field.zero, diagram.head,
+                   target, ctx.source)
 
 
 def _require_nonneg(w):
@@ -148,70 +135,53 @@ def _require_nonneg(w):
                          "use measure_view first")
 
 
-def _check_weights(forest, grouping):
-    """Reject any negative edge weight before sampling starts.
+def _distributions(forest, g):
+    """Per exit of ``g``: (draws reaching it, their running totals).
 
-    Negative weights do not just skew the draw, they can cancel inside
-    compute_weights and silently hide whole subtrees, so the precondition
-    is enforced up front.  Memoized per grouping.
+    Internal draws come in middle order, then B-exit order.
     """
-    cache = forest.cache("nonneg_ok")
-    if id(grouping) in cache:
-        return
-    if grouping.level == 0:
-        _require_nonneg(grouping.lw)
-        _require_nonneg(grouping.rw)
-    else:
-        _check_weights(forest, grouping.a_connection)
-        for b in grouping.b_connections:
-            _check_weights(forest, b)
-    cache[id(grouping)] = True
-
-
-def _middle_distribution(forest, g, i):
-    """Cumulative weights of the middle vertices that can reach exit i."""
     cache = forest.cache("sample_cdf")
-    key = (id(g), i)
-    hit = cache.get(key)
+    hit = cache.get(id(g))
     if hit is not None:
         return hit
     field = forest.field
-    wa = compute_weights(forest, g.a_connection)
-    choices = []
-    cumulative = []
-    running = field.zero
-    for j, rt in enumerate(g.b_return_tuples):
-        if i not in rt:
-            continue
-        k = rt.index(i) + 1
-        wb = compute_weights(forest, g.b_connections[j])
-        w = field.mul(wa[j], wb[k - 1])
-        _require_nonneg(w)
-        choices.append((j + 1, k))
-        running = field.add(running, w)
-        cumulative.append(running)
-    result = (choices, cumulative, running)
-    cache[key] = result
+    if g.level == 0:
+        _require_nonneg(g.lw)
+        _require_nonneg(g.rw)
+        if g.number_of_exits == 2:
+            result = ((("0",), (g.lw,)), (("1",), (g.rw,)))
+        else:
+            result = ((("0", "1"), (g.lw, field.add(g.lw, g.rw))),)
+    else:
+        wa = compute_weights(forest, g.a_connection)
+        draws = [[] for _ in range(g.number_of_exits)]
+        cumulative = [[] for _ in range(g.number_of_exits)]
+        running = [field.zero] * g.number_of_exits
+        for j, (b, rt) in enumerate(zip(g.b_connections, g.b_return_tuples)):
+            for k, total_b in enumerate(compute_weights(forest, b)):
+                e = rt[k] - 1
+                running[e] = field.add(running[e], field.mul(wa[j], total_b))
+                draws[e].append((j + 1, k + 1))
+                cumulative[e].append(running[e])
+        result = tuple(zip(draws, cumulative))
+    cache[id(g)] = result
     return result
 
 
-def _sample(forest, g, i, rng):
+def _sample(table, zero, g, i, rng):
+    """Bits of one path from ``g``'s entry to its exit ``i``."""
+    draws, cumulative = table[id(g)][i - 1]
     if g.level == 0:
-        if g.number_of_exits == 1:
-            _require_nonneg(g.lw)
-            _require_nonneg(g.rw)
-            total = forest.field.add(g.lw, g.rw)
-            return "0" if rng.random() * total < g.lw else "1"
-        return "0" if i == 1 else "1"
-    choices, cumulative, total = _middle_distribution(forest, g, i)
-    if total == forest.field.zero:
+        # A fork's exit fixes the bit: nothing to draw.
+        return draws[0] if len(draws) == 1 else _pick(draws, cumulative, rng)
+    if cumulative[-1] == zero:
         raise ValueError("total path weight is zero")
-    point = rng.random() * total
-    pick = len(choices) - 1
-    for idx, c in enumerate(cumulative):
-        if point < c:
-            pick = idx
-            break
-    m, k = choices[pick]
-    return (_sample(forest, g.a_connection, m, rng) +
-            _sample(forest, g.b_connections[m - 1], k, rng))
+    m, k = _pick(draws, cumulative, rng)
+    return (_sample(table, zero, g.a_connection, m, rng) +
+            _sample(table, zero, g.b_connections[m - 1], k, rng))
+
+
+def _pick(draws, cumulative, rng):
+    """The first draw whose running total exceeds a uniform point."""
+    point = rng.random() * cumulative[-1]
+    return draws[min(bisect_right(cumulative, point), len(draws) - 1)]

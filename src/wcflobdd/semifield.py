@@ -97,9 +97,12 @@ def _env_digits() -> int:
         return DEFAULT_ROUNDING_DIGITS
     try:
         digits = int(raw)
+        if digits > 0:
+            return digits
     except ValueError:
-        return DEFAULT_ROUNDING_DIGITS
-    return digits if digits > 0 else DEFAULT_ROUNDING_DIGITS
+        pass
+    raise ValueError("WCFLOBDD_ROUNDING_DIGITS must be a positive integer, "
+                     f"got {raw!r}")
 
 
 class Semifield:

@@ -1,0 +1,238 @@
+"""Fingerprints of the package's observable behaviour, one line each.
+
+Prints ``label sha256`` for every artefact that a behaviour-preserving
+change must leave byte-identical: seeded operation results (dump, size,
+validate, unfold), the named families at levels 1-10 with their DOT
+export, circuit states, seeded sample streams with their path totals
+and error messages, and CLI output with ``time_s`` removed from bench
+rows.  Run it on two checkouts and ``diff`` the outputs:
+
+    python3 tests/identity_check.py > after.txt
+    python3 tests/identity_check.py /path/to/other/checkout/src > before.txt
+    diff before.txt after.txt
+
+The optional argument is the ``src`` directory whose ``wcflobdd`` is
+checked; it defaults to the one next to this file.  Not collected by
+pytest (the name does not start with ``test_``).
+"""
+
+import hashlib
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+SRC = sys.argv[1] if len(sys.argv) > 1 else os.path.join(HERE, "..", "src")
+sys.path.insert(0, os.path.abspath(SRC))
+
+import wcflobdd as wc  # noqa: E402
+from wcflobdd import cli, quantum  # noqa: E402
+from wcflobdd.sampling import compute_weights  # noqa: E402
+
+INSTANCES = ("rational", "float", "complex")
+
+
+def emit(label, text):
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    print(f"{label} {digest}", flush=True)
+
+
+def _outcome(fn, *args):
+    """repr of fn(*args), or the exception it raised."""
+    try:
+        return repr(fn(*args))
+    except Exception as e:  # the error is part of the behaviour
+        return f"{type(e).__name__}: {e}"
+
+
+def _leaf(rng, instance):
+    if rng.random() < 0.35:
+        return 0
+    if instance == "rational":
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+    if instance == "float":
+        return rng.uniform(-2, 2)
+    return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+
+
+def _table(rng, instance, level):
+    return [_leaf(rng, instance) for _ in range(1 << (1 << level))]
+
+
+def _describe(d, with_unfold=True):
+    parts = [wc.dump_diagram(d), repr(wc.size(d)), repr(wc.validate(d))]
+    if with_unfold:
+        parts.append(repr(wc.unfold(d)))
+    return "\n".join(parts)
+
+
+def operations():
+    ops = (("multiply", wc.multiply), ("add", wc.add),
+           ("subtract", wc.subtract), ("kronecker", wc.kronecker),
+           ("matrix_multiply", wc.matrix_multiply))
+    for instance in INSTANCES:
+        forest = wc.Forest(wc.field_by_name(instance))
+        rng = random.Random(f"ops-{instance}")
+        for level in (1, 2, 3):
+            pairs = [(wc.fold(forest, _table(rng, instance, level)),
+                      wc.fold(forest, _table(rng, instance, level)))
+                     for _ in range(9 if level < 3 else 4)]
+            emit(f"fold/{instance}/L{level}",
+                 "\n".join(_describe(a) + _describe(b) for a, b in pairs))
+            for name, op in ops:
+                texts = []
+                for a, b in pairs:
+                    r = op(a, b)
+                    texts.append(_describe(r, with_unfold=r.level <= 3))
+                emit(f"{name}/{instance}/L{level}", "\n".join(texts))
+
+
+def families():
+    builders = (("W", wc.walsh_family), ("I", wc.identity_matrix),
+                ("X", wc.not_matrix), ("H", wc.hadamard_family))
+    for instance in INSTANCES:
+        forest = wc.Forest(wc.field_by_name(instance))
+        for name, build in builders:
+            texts = []
+            for level in range(1, 11):
+                try:
+                    d = build(forest, level)
+                except Exception as e:  # the error is part of the behaviour
+                    texts.append(f"{type(e).__name__}: {e}")
+                    continue
+                texts.append(_describe(d, with_unfold=False))
+                texts.append(wc.export_dot(d))
+            emit(f"family/{name}/{instance}", "\n".join(texts))
+    rational = wc.Forest(wc.field_by_name("rational"))
+    emit("family/EXP/rational",
+         "\n".join(_describe(wc.exp_family(rational, 1 << k),
+                             with_unfold=k <= 3) for k in range(0, 9)))
+
+
+def circuits():
+    states = {
+        "GHZ-256": quantum.ghz(256),
+        "QFT-32": quantum.qft(32, 5),
+        "BV-63": quantum.bernstein_vazirani(63, "10" * 31 + "1"),
+    }
+    for label, circuit in states.items():
+        state = wc.run_circuit(circuit)
+        emit(f"state/{label}", wc.dump_diagram(state.diagram))
+    state, iterations = quantum.grover(8, "10110010")
+    emit("state/Grover-8", f"{iterations}\n" + wc.dump_diagram(state.diagram))
+
+
+def samples():
+    states = {
+        "GHZ-5": quantum.ghz(5), "GHZ-256": quantum.ghz(256),
+        "GHZ-1024": quantum.ghz(1024), "QFT-5": quantum.qft(5, 3),
+        "QFT-16": quantum.qft(16, 11),
+        "BV-6": quantum.bernstein_vazirani(6, "101101"),
+    }
+    for label, circuit in states.items():
+        state = wc.run_circuit(circuit)
+        for seed in (1, 2, 3):
+            emit(f"measure/{label}/seed{seed}",
+                 _outcome(lambda: sorted(quantum.measure(state, 200, seed)
+                                         .items())))
+    for instance in ("rational", "float"):
+        forest = wc.Forest(wc.field_by_name(instance))
+        rng = random.Random(f"samples-{instance}")
+        texts = []
+        for n in range(60):
+            level = 1 + n % 3
+            table = [abs(v) for v in _table(rng, instance, level)]
+            if not any(table):
+                table[0] = 1
+            d = wc.fold(forest, table)
+            ctx = wc.SampleContext(n)
+            texts.append(repr(compute_weights(forest, d.head)))
+            texts.append(" ".join(wc.sample_assignment(d, ctx)
+                                  for _ in range(20)))
+        emit(f"sample_assignment/{instance}", "\n".join(texts))
+    rational = wc.Forest(wc.field_by_name("rational"))
+    floating = wc.Forest(wc.field_by_name("float"))
+    complexes = wc.Forest(wc.field_by_name("complex"))
+    errors = {
+        "zero": floating.zero_diagram(1),
+        "walsh-1": wc.walsh_family(rational, 1),
+        "walsh-3": wc.walsh_family(rational, 3),
+        "complex": wc.fold(complexes, [0.5j, 0.5, 0.5, 0.5]),
+        "negative-factor": wc.scalar_multiply(Fraction(-1),
+                                              wc.exp_family(rational, 2)),
+    }
+    for label, d in errors.items():
+        emit(f"sample_error/{label}",
+             _outcome(wc.sample_assignment, d, wc.SampleContext(1)))
+
+
+def _cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(list(argv))
+    return out.getvalue(), err.getvalue(), code
+
+
+def _bench(*argv):
+    out, err, code = _cli("bench", *argv, "--format", "json")
+    rows = json.loads(out)
+    for row in rows:
+        del row["time_s"]
+    return f"{json.dumps(rows, indent=1)}\n{err}\n{code}"
+
+
+def command_line():
+    params = ",".join(str(level) for level in range(1, 11))
+    for instance in ("float", "complex"):
+        emit(f"cli/bench-synthetic/{instance}",
+             _bench("synthetic", "--params", params, "--instance", instance))
+    emit("cli/bench-separation", _bench("separation"))
+    emit("cli/bench-quantum", _bench("quantum", "--params", "8,32"))
+    with tempfile.TemporaryDirectory() as tmp:
+        for fam in ("EXP_16", "W_8", "H_8", "I_16", "X_16"):
+            emit(f"cli/export/{fam}", repr(_cli("export", fam)))
+            emit(f"cli/export-dump/{fam}", repr(_cli("export", "--dump", fam)))
+        circuits = {
+            "ghz8": "\n".join(["H 0"] + [f"CNOT {q} {q + 1}"
+                                         for q in range(7)]),
+            "qft4": "X 1\nH 0\nCP 1.5707963267948966 1 0\nPHASE 0.5 2\n"
+                    "H 1\nCP 0.7853981633974483 2 0\nH 2\nH 3\n",
+        }
+        for name, text in circuits.items():
+            path = os.path.join(tmp, f"{name}.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            emit(f"cli/run/{name}",
+                 repr(_cli("run", path, "--seed", "7", "--shots", "200")))
+        exp4 = os.path.join(tmp, "exp4.dump")
+        h2 = os.path.join(tmp, "h2.dump")
+        _cli("export", "--dump", "EXP_4", "--out", exp4)
+        _cli("export", "--dump", "H_2", "--out", h2)
+        emit("cli/sample/EXP_4",
+             repr(_cli("sample", exp4, "--seed", "1", "--count", "50")))
+        emit("cli/sample/H_2-measure",
+             repr(_cli("sample", h2, "--seed", "1", "--count", "50",
+                       "--measure")))
+        emit("cli/sample/W_2-error",
+             repr(_cli("sample", "W_2", "--seed", "1")))
+        for argv in (("mul", "EXP_4", "EXP_4"), ("add", "W_4", "I_4"),
+                     ("kron", "I_2", "X_2"), ("matmul", "W_4", "X_4"),
+                     ("matmul", "H_4", "H_4", "--instance", "float")):
+            emit("cli/op/" + "-".join(argv[:3]), repr(_cli("op", *argv)))
+
+
+def main():
+    operations()
+    families()
+    circuits()
+    samples()
+    command_line()
+
+
+if __name__ == "__main__":
+    main()

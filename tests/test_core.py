@@ -153,6 +153,17 @@ def test_validate_flags_unnormalized_weights():
     assert any("not normalized" in m for m in msgs), msgs
 
 
+def test_validate_flags_duplicate_middles():
+    f = Forest(rational_field())
+    b = f.fork(ONE, ONE)
+    head = f.internal(f.fork(ONE, ONE), (b, b), ((1, 2), (1, 2)))
+    msgs = validate(f.diagram(ONE, head, (ONE, ZERO)))
+    assert any("duplicate (B-connection" in m for m in msgs), msgs
+    distinct = f.internal(f.fork(ONE, ONE), (b, b), ((1, 2), (2, 1)))
+    msgs = validate(f.diagram(ONE, distinct, (ONE, ZERO)))
+    assert not any("duplicate (B-connection" in m for m in msgs), msgs
+
+
 def test_validate_flags_zero_factor_on_nonzero_diagram():
     f = Forest(rational_field())
     d = f.diagram(ZERO, f.one_proto(1), (ONE,))

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 from wcflobdd.core import Forest, evaluate, validate
 from wcflobdd.construct import fold, hadamard_family, unfold, walsh_family
-from wcflobdd.pointwise import (add, collapse_classes_leftmost,
-                                insert_b_connection, multiply, pair_product,
-                                reduce, subtract, weighted_pair_product)
+from wcflobdd.pointwise import (add, collapse_classes_leftmost, multiply,
+                                pair_product, reduce, subtract,
+                                weighted_pair_product)
 from wcflobdd.semifield import rational_field, real_field
 
 import oracle
@@ -26,14 +26,12 @@ def test_collapse_classes_leftmost():
         ("x", "y", "z"), (1, 1, 2, 1, 3))
 
 
-def test_insert_b_connection_dedups():
-    bs, rts = [], []
+def test_collapse_dedups_middles():
     h = F.dontcare(ONE, Fraction(2))
-    assert insert_b_connection(bs, rts, h, (1,)) == 1
-    assert insert_b_connection(bs, rts, h, (1,)) == 1
-    assert insert_b_connection(bs, rts, h, (2,)) == 2
-    assert insert_b_connection(bs, rts, F.fork(ONE, ONE), (1,)) == 3
-    assert len(bs) == 3 and len(rts) == 3
+    middles = [(h, (1,)), (h, (1,)), (h, (2,)), (F.fork(ONE, ONE), (1,))]
+    kept, positions = collapse_classes_leftmost(middles)
+    assert positions == (1, 1, 2, 3)
+    assert len(kept) == 3
 
 
 def test_pair_product_level0():

@@ -5,6 +5,7 @@ from fractions import Fraction
 from wcflobdd.core import Forest
 from wcflobdd.construct import fold, hadamard_family, unfold, walsh_family
 from wcflobdd.matrix import apply_matrix_to_vector
+from wcflobdd.quantum import bernstein_vazirani, ghz, measure, qft, run_circuit
 from wcflobdd.sampling import (SampleContext, compute_weights, measure_view,
                                sample_assignment)
 from wcflobdd.semifield import complex_field, rational_field, real_field
@@ -121,8 +122,50 @@ def test_sampling_rejects_zero_diagram():
 def test_sampling_rejects_negative_weights():
     # Walsh entries are +-1; cancellation inside the weight sums would
     # silently misreport the distribution, so this must raise instead.
+    # Complex amplitudes need measure_view first.
+    fc = Forest(complex_field())
+    for d in (walsh_family(F, 1), walsh_family(F, 3),
+              fold(fc, [0.5j, 0.5, 0.5, 0.5])):
+        try:
+            sample_assignment(d, SampleContext(1))
+            assert False, d
+        except ValueError:
+            pass
+
+
+def test_compute_weights_rejects_signed_weights():
+    # Walsh level 1 totals 1 + 1 + 1 - 1 = 2 over absolute weight 4; a
+    # cancelled sum is no path total, so it must raise.
     try:
-        sample_assignment(walsh_family(F, 1), SampleContext(1))
+        compute_weights(F, walsh_family(F, 1).head)
         assert False
-    except ValueError:
-        pass
+    except ValueError as e:
+        assert "nonnegative" in str(e)
+
+
+def test_measure_histograms_are_pinned():
+    assert measure(run_circuit(ghz(5)), 64, 5) == {"00000": 39, "11111": 25}
+    assert measure(run_circuit(qft(5, 3)), 16, 5) == {
+        "00000": 1, "00001": 2, "01101": 1, "01110": 2, "01111": 1,
+        "10001": 1, "10010": 2, "10011": 1, "11000": 1, "11001": 1,
+        "11011": 2, "11110": 1}
+    bv = run_circuit(bernstein_vazirani(6, "101101"))
+    assert measure(bv, 64, 5) == {"1011010": 35, "1011011": 29}
+
+
+def test_sample_streams_are_pinned():
+    d, _ = _random_nonneg(oracle.seeded(8), 2)
+    ctx = SampleContext(3)
+    assert [sample_assignment(d, ctx) for _ in range(20)] == [
+        "0111", "1101", "0111", "1110", "1101", "1111", "0111", "1111",
+        "0111", "1100", "1110", "1010", "1011", "1110", "1110", "1111",
+        "0111", "0110", "0110", "1110"]
+    rng = oracle.seeded(9)
+    table = [0.0 if rng.random() < 0.35 else rng.uniform(0, 2)
+             for _ in range(16)]
+    ctx = SampleContext(3)
+    d = fold(FL, table)
+    assert [sample_assignment(d, ctx) for _ in range(20)] == [
+        "0111", "1101", "0111", "1100", "1101", "1110", "1101", "1000",
+        "1101", "0101", "0011", "1100", "0111", "1110", "1101", "1101",
+        "0011", "0011", "1100", "1101"]

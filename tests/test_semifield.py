@@ -88,6 +88,23 @@ def test_env_var_overrides_digits():
     assert out.stdout.strip() == "True", out.stderr
 
 
+def test_env_var_rejects_invalid_digits():
+    for raw in ("abc", "0", "-3"):
+        env = dict(os.environ, WCFLOBDD_ROUNDING_DIGITS=raw)
+        out = subprocess.run(
+            [sys.executable, "-m", "wcflobdd.cli", "eval", "H_2", "00"],
+            env=env, capture_output=True, text=True)
+        assert out.returncode == 2, (raw, out.stdout, out.stderr)
+        assert out.stderr.startswith("error: WCFLOBDD_ROUNDING_DIGITS"), \
+            out.stderr
+        assert repr(raw) in out.stderr, out.stderr
+    env = dict(os.environ, WCFLOBDD_ROUNDING_DIGITS="")
+    out = subprocess.run(
+        [sys.executable, "-m", "wcflobdd.cli", "eval", "H_2", "00"],
+        env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
 def test_pow2_materializes_small_exponents():
     assert Pow2.make(10) == Fraction(1024)
     assert Pow2.make(-3) == Fraction(1, 8)
