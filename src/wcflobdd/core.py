@@ -242,7 +242,7 @@ class Forest:
         if len(values) != head.number_of_exits:
             raise StructureError("value tuple length != head exits")
         vkeys = tuple(f.key(v) for v in values)
-        zero_key, one_key = f.key(f.zero), f.key(f.one)
+        zero_key, one_key = f._zero_key, f._one_key
         for vk in vkeys:
             if vk != zero_key and vk != one_key:
                 raise StructureError("value tuple entries must be 0 or 1")

@@ -15,7 +15,13 @@ groupings.  Controlled gates use the projection decomposition
 
     C-U(a, b) = |0><0|_a (x) I  +  |1><1|_a (x) U_b
 
-with each term assembled the same way and the sum taken pointwise.
+taken only on the smallest balanced block of the register that holds
+both a and b: the two terms are assembled over that block and added
+there, and the sum is Kronecker'd with cached identities up to the
+full width.  Since (A (x) I) + (B (x) I) = (A + B) (x) I, canonicity
+gives the same handle as the sum over the whole register.  The |0><0|
+and |1><1| factors are folded once per forest and kept in its
+``gate_factors`` table.
 """
 
 import cmath
@@ -199,11 +205,15 @@ def _single(forest, kind, theta=None):
 
 
 def _projector(forest, bit):
-    """The one-qubit projector |bit><bit|."""
-    field = forest.field
-    cells = [field.zero] * 4
-    cells[3 * bit] = field.one
-    return fold(forest, cells)
+    """The one-qubit projector |bit><bit|, folded once per forest."""
+    factors = forest.cache("gate_factors")
+    hit = factors.get(bit)
+    if hit is None:
+        field = forest.field
+        cells = [field.zero] * 4
+        cells[3 * bit] = field.one
+        hit = factors[bit] = fold(forest, cells)
+    return hit
 
 
 def _kron_segment(forest, lo, hi, specials):
@@ -222,34 +232,50 @@ def _kron_segment(forest, lo, hi, specials):
                      _kron_segment(forest, mid, hi, specials))
 
 
+def _controlled(forest, lo, hi, a, b, u):
+    """C-U with control a and target b (a != b) over [lo, hi).
+
+    The projection sum is taken on the smallest balanced block that
+    holds both qubits; above it the gate is that block (x) identity.
+    """
+    mid = (lo + hi) // 2
+    if a < mid and b < mid:
+        return kronecker(_controlled(forest, lo, mid, a, b, u),
+                         identity_matrix(forest, _level(hi - mid)))
+    if a >= mid and b >= mid:
+        return kronecker(identity_matrix(forest, _level(mid - lo)),
+                         _controlled(forest, mid, hi, a, b, u))
+    return add(_kron_segment(forest, lo, hi, {a: _projector(forest, 0)}),
+               _kron_segment(forest, lo, hi, {a: _projector(forest, 1),
+                                              b: u}))
+
+
 def build_gate(forest: Forest, gate, n: int) -> Diagram:
     """The full n-qubit (padded) matrix for one gate description.
 
     ``gate`` is a tuple as stored by Circuit: ("H", q), ("X", q),
     ("PHASE", theta, q), ("CNOT", a, b), or ("CP", theta, a, b).
+    Raises ValueError for an unknown kind or a qubit outside [0, n).
     """
     p = _padded(n)
     kind = gate[0]
-    if kind in ("H", "X"):
-        q = gate[1]
-        return _kron_segment(forest, 0, p, {q: _single(forest, kind)})
-    if kind == "PHASE":
-        theta, q = gate[1], gate[2]
-        return _kron_segment(forest, 0, p,
-                             {q: _single(forest, "PHASE", theta)})
-    if kind == "CNOT":
-        a, b = gate[1], gate[2]
-        u = _single(forest, "X")
-    elif kind == "CP":
-        theta, a, b = gate[1], gate[2], gate[3]
-        u = _single(forest, "PHASE", theta)
+    if kind in ("H", "X", "CNOT"):
+        theta, qubits = None, gate[1:]
+    elif kind in ("PHASE", "CP"):
+        theta, qubits = gate[1], gate[2:]
     else:
         raise ValueError(f"unknown gate {gate!r}")
+    for q in qubits:
+        if not 0 <= q < n:
+            raise ValueError(f"qubit {q} out of range for {n} qubits")
+    if kind in ("H", "X", "PHASE"):
+        return _kron_segment(forest, 0, p,
+                             {qubits[0]: _single(forest, kind, theta)})
+    a, b = qubits
     if a == b:
         raise ValueError("control and target must differ")
-    rest = _kron_segment(forest, 0, p, {a: _projector(forest, 0)})
-    acting = _kron_segment(forest, 0, p, {a: _projector(forest, 1), b: u})
-    return add(rest, acting)
+    u = _single(forest, "X" if kind == "CNOT" else "PHASE", theta)
+    return _controlled(forest, 0, p, a, b, u)
 
 
 # -- states -----------------------------------------------------------------

@@ -107,7 +107,7 @@ def sample_assignment(diagram: Diagram, ctx: SampleContext) -> str:
     """
     forest = diagram.forest
     field = forest.field
-    one_key = field.key(field.one)
+    one_key = field._one_key
     target = None
     for i, v in enumerate(diagram.values):
         if field.key(v) == one_key:

@@ -3,9 +3,9 @@
 Prints ``label sha256`` for every artefact that a behaviour-preserving
 change must leave byte-identical: seeded operation results (dump, size,
 validate, unfold), the named families at levels 1-10 with their DOT
-export, circuit states, seeded sample streams with their path totals
-and error messages, and CLI output with ``time_s`` removed from bench
-rows.  Run it on two checkouts and ``diff`` the outputs:
+export, circuit states, every controlled gate on 16 qubits, seeded
+sample streams with their path totals and error messages, and CLI
+output with ``time_s`` removed from bench rows.  Run it on two checkouts and ``diff`` the outputs:
 
     python3 tests/identity_check.py > after.txt
     python3 tests/identity_check.py /path/to/other/checkout/src > before.txt
@@ -19,6 +19,7 @@ pytest (the name does not start with ``test_``).
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -119,12 +120,23 @@ def circuits():
         "GHZ-256": quantum.ghz(256),
         "QFT-32": quantum.qft(32, 5),
         "BV-63": quantum.bernstein_vazirani(63, "10" * 31 + "1"),
+        "GHZ-1024": quantum.ghz(1024),
     }
     for label, circuit in states.items():
         state = wc.run_circuit(circuit)
         emit(f"state/{label}", wc.dump_diagram(state.diagram))
     state, iterations = quantum.grover(8, "10110010")
     emit("state/Grover-8", f"{iterations}\n" + wc.dump_diagram(state.diagram))
+
+
+def gates():
+    forest = quantum.quantum_forest()
+    pairs = [(a, b) for a in range(16) for b in range(16) if a != b]
+    for label, make in (("CNOT", lambda a, b: ("CNOT", a, b)),
+                        ("CP-pi/3", lambda a, b: ("CP", math.pi / 3, a, b))):
+        emit(f"gate/{label}/16", "\n".join(
+            wc.dump_diagram(quantum.build_gate(forest, make(a, b), 16))
+            for a, b in pairs))
 
 
 def samples():
@@ -230,6 +242,7 @@ def main():
     operations()
     families()
     circuits()
+    gates()
     samples()
     command_line()
 

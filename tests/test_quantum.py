@@ -6,7 +6,9 @@ import math
 import numpy as np
 
 from wcflobdd.core import size, validate
-from wcflobdd.construct import unfold
+from wcflobdd.construct import fold, identity_matrix, not_matrix, unfold
+from wcflobdd.matrix import kronecker
+from wcflobdd.pointwise import add
 from wcflobdd.quantum import (Circuit, amplitude, basis_state,
                               bernstein_vazirani, build_gate, deutsch_jozsa,
                               ghz, grover, measure, parse_circuit, qft,
@@ -48,6 +50,59 @@ def test_controlled_gates_match_dense():
             p <<= 1
         m = _deinterleave(unfold(build_gate(f, gate, n)), p)
         assert np.allclose(m, oracle.dense_gate(gate, p)), gate
+
+
+def test_controlled_gates_match_dense_at_width_8():
+    """Control/target pairs whose smallest common block has width 2
+    (left half), 4 (right half) and 8, in both orders."""
+    f = quantum_forest()
+    for a, b in ((2, 3), (3, 2), (4, 6), (6, 4), (1, 6), (6, 1)):
+        for gate in (("CNOT", a, b), ("CP", math.pi / 3, a, b)):
+            m = np.array(oracle.to_dense(build_gate(f, gate, 8)))
+            assert np.allclose(m, oracle.dense_gate(gate, 8)), gate
+
+
+def _balanced_kron(factors):
+    if len(factors) == 1:
+        return factors[0]
+    mid = len(factors) // 2
+    return kronecker(_balanced_kron(factors[:mid]),
+                     _balanced_kron(factors[mid:]))
+
+
+def test_controlled_gates_are_the_full_width_projection_sum():
+    """build_gate gives the handle of |0><0|_a (x) I + |1><1|_a (x) U_b
+    assembled over all 16 qubits, for every ordered pair."""
+    f = quantum_forest()
+    one, zero = f.field.one, f.field.zero
+    p0 = fold(f, [one, zero, zero, zero])
+    p1 = fold(f, [zero, zero, zero, one])
+    i1 = identity_matrix(f, 1)
+    theta = math.pi / 3
+    us = {"CNOT": not_matrix(f, 1),
+          "CP": fold(f, [one, zero, zero, cmath.exp(1j * theta)])}
+    for a in range(16):
+        for b in range(16):
+            if a == b:
+                continue
+            rest = _balanced_kron([p0 if q == a else i1 for q in range(16)])
+            for kind, u in us.items():
+                acting = _balanced_kron([p1 if q == a else u if q == b
+                                         else i1 for q in range(16)])
+                gate = (kind, a, b) if kind == "CNOT" else (kind, theta, a, b)
+                assert build_gate(f, gate, 16) is add(rest, acting), gate
+
+
+def test_build_gate_rejects_qubits_outside_the_register():
+    f = quantum_forest()
+    for gate, n in ((("H", 5), 2), (("X", 3), 3), (("PHASE", 0.5, -1), 2),
+                    (("CNOT", 5, 0), 2), (("CNOT", 5, 6), 2),
+                    (("CNOT", 0, 2), 2), (("CP", 0.5, 0, 4), 4)):
+        try:
+            build_gate(f, gate, n)
+            assert False, gate
+        except ValueError as e:
+            assert "out of range" in str(e), (gate, e)
 
 
 def test_gates_are_unitary():
