@@ -65,15 +65,16 @@ def reduce(forest, grouping, reduction, values):
     if collapse_classes_leftmost(reduction)[1] != reduction:
         raise ValueError(f"reduction tuple {reduction} is not leftmost-compact")
 
-    zero = all(field.is_zero(v) for v in values)
+    zero_key = field._zero_key
+    zero = all(k == zero_key for k in value_keys)
     if zero and len(set(reduction)) == 1:
         res = (forest.zero_proto(grouping.level), field.zero)
     elif (not zero
           and reduction == tuple(range(1, n + 1))
           and len(set(value_keys)) == 1
-          and not field.is_zero(values[0])
           and forest.is_marked_canonical(grouping)):
-        # Nothing to merge and a uniform value to factor straight out.
+        # Nothing to merge and a uniform nonzero value to factor
+        # straight out (one key for all, not all zero).
         res = (grouping, values[0])
     elif grouping.level == 0:
         res = _reduce_leaf(forest, grouping, reduction, values)

@@ -13,14 +13,15 @@ on, so ordinary fields qualify. Three instances are provided:
 
 Floating instances use a rounded *canonical key* for hashing and
 equality so that values differing only by accumulated rounding noise
-intern to the same node. The rounding width is configurable per
-instance and defaults to 10 decimal digits (overridable through the
-``WCFLOBDD_ROUNDING_DIGITS`` environment variable).
+intern to the same node. A key rounds to a fixed number of decimal
+places (not significant digits): 10 by default, set per instance or
+through the ``WCFLOBDD_ROUNDING_DIGITS`` environment variable, and
+always a positive integer. Exact 0 and 1, which are most of the weights
+a diagram carries, key without rounding to one shared object each.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import re
 from fractions import Fraction
@@ -91,7 +92,15 @@ def _log2_exact(f: Fraction):
     return None
 
 
-def _env_digits() -> int:
+def _digits(rounding_digits) -> int:
+    """The rounding width: the argument, else the environment's."""
+    if rounding_digits is not None:
+        if (isinstance(rounding_digits, int)
+                and not isinstance(rounding_digits, bool)
+                and rounding_digits > 0):
+            return rounding_digits
+        raise ValueError("rounding_digits must be a positive integer, "
+                         f"got {rounding_digits!r}")
     raw = os.environ.get("WCFLOBDD_ROUNDING_DIGITS")
     if not raw:
         return DEFAULT_ROUNDING_DIGITS
@@ -118,6 +127,9 @@ class Semifield:
     zero = None
     one = None
     minus_one = None
+    # key(zero) and key(one), fixed per subclass.
+    _zero_key = None
+    _one_key = None
 
     def add(self, a, b):
         return a + b
@@ -138,14 +150,6 @@ class Semifield:
 
     def is_one(self, a) -> bool:
         return self.key(a) == self._one_key
-
-    @functools.cached_property
-    def _zero_key(self):
-        return self.key(self.zero)
-
-    @functools.cached_property
-    def _one_key(self):
-        return self.key(self.one)
 
     def abs2(self, a):
         """Squared magnitude of ``a``, as a value of measure_field()."""
@@ -183,6 +187,8 @@ class RationalSemifield(Semifield):
     zero = Fraction(0)
     one = Fraction(1)
     minus_one = Fraction(-1)
+    _zero_key = (0, 1)
+    _one_key = (1, 1)
 
     def add(self, a, b):
         if isinstance(a, Pow2) or isinstance(b, Pow2):
@@ -269,14 +275,21 @@ class RealSemifield(Semifield):
     one = 1.0
     minus_one = -1.0
 
+    # Exact 0 and 1 key to these without rounding; with a positive
+    # width, rounding would give equal keys.
+    _zero_key = 0.0
+    _one_key = 1.0
+
     def __init__(self, rounding_digits: int | None = None):
-        self.rounding_digits = (
-            _env_digits() if rounding_digits is None else rounding_digits
-        )
+        self.rounding_digits = _digits(rounding_digits)
 
     def key(self, a):
-        r = round(float(a), self.rounding_digits)
-        return r + 0.0  # merge -0.0 with 0.0
+        a = float(a)
+        if a == 0.0:
+            return self._zero_key
+        if a == 1.0:
+            return self._one_key
+        return round(a, self.rounding_digits) + 0.0  # merge -0.0 with 0.0
 
     def abs2(self, a):
         return float(a) * float(a)
@@ -310,16 +323,22 @@ class ComplexSemifield(Semifield):
     one = complex(1)
     minus_one = complex(-1)
 
+    # As in RealSemifield: exact 0 and 1 share these keys unrounded.
+    _zero_key = (0.0, 0.0)
+    _one_key = (1.0, 0.0)
+
     def __init__(self, rounding_digits: int | None = None):
-        self.rounding_digits = (
-            _env_digits() if rounding_digits is None else rounding_digits
-        )
+        self.rounding_digits = _digits(rounding_digits)
 
     def _round1(self, x: float) -> float:
         return round(x, self.rounding_digits) + 0.0
 
     def key(self, a):
         c = complex(a)
+        if c == 0:
+            return self._zero_key
+        if c == 1:
+            return self._one_key
         return (self._round1(c.real), self._round1(c.imag))
 
     def abs2(self, a):
@@ -384,14 +403,14 @@ def rational_field() -> RationalSemifield:
 
 
 def real_field(rounding_digits: int | None = None) -> RealSemifield:
-    digits = _env_digits() if rounding_digits is None else rounding_digits
+    digits = _digits(rounding_digits)
     if digits not in _REAL_CACHE:
         _REAL_CACHE[digits] = RealSemifield(digits)
     return _REAL_CACHE[digits]
 
 
 def complex_field(rounding_digits: int | None = None) -> ComplexSemifield:
-    digits = _env_digits() if rounding_digits is None else rounding_digits
+    digits = _digits(rounding_digits)
     if digits not in _COMPLEX_CACHE:
         _COMPLEX_CACHE[digits] = ComplexSemifield(digits)
     return _COMPLEX_CACHE[digits]

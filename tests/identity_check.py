@@ -4,8 +4,10 @@ Prints ``label sha256`` for every artefact that a behaviour-preserving
 change must leave byte-identical: seeded operation results (dump, size,
 validate, unfold), the named families at levels 1-10 with their DOT
 export, circuit states, every controlled gate on 16 qubits, seeded
-sample streams with their path totals and error messages, and CLI
-output with ``time_s`` removed from bench rows.  Run it on two checkouts and ``diff`` the outputs:
+sample streams with their path totals and error messages, the float
+and complex canonical keys of edge and seeded values, and CLI output
+with ``time_s`` removed from bench rows.  Run it on two checkouts and
+``diff`` the outputs:
 
     python3 tests/identity_check.py > after.txt
     python3 tests/identity_check.py /path/to/other/checkout/src > before.txt
@@ -183,6 +185,24 @@ def samples():
              _outcome(wc.sample_assignment, d, wc.SampleContext(1)))
 
 
+def keys():
+    rng = random.Random("keys")
+    values = [0.0, -0.0, 0j, complex(-0.0, -0.0), complex(1, -0.0), 1,
+              True, Fraction(0), Fraction(1), 1e-11, 5e-11, 0.99999999999,
+              1 + 1e-12j, math.inf, math.nan]
+    for _ in range(200):
+        scale = 10.0 ** rng.randint(-14, 3)
+        x = rng.choice((0.0, 1.0, -1.0, rng.uniform(-2, 2))) + \
+            rng.uniform(-scale, scale)
+        y = rng.choice((0.0, -0.0, x, rng.uniform(-1, 1)))
+        values.append(x if rng.random() < 0.4 else complex(x, y))
+    for digits in (None, 6):
+        for name in ("float", "complex"):
+            field = wc.field_by_name(name, digits)
+            emit(f"key/{name}/{digits or 'default'}",
+                 "\n".join(_outcome(field.key, v) for v in values))
+
+
 def _cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -244,6 +264,7 @@ def main():
     circuits()
     gates()
     samples()
+    keys()
     command_line()
 
 

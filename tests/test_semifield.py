@@ -6,8 +6,11 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from wcflobdd.semifield import (Pow2, complex_field, field_by_name,
-                                rational_field, real_field)
+import pytest
+
+from wcflobdd.semifield import (ComplexSemifield, Pow2, RealSemifield,
+                                complex_field, field_by_name, rational_field,
+                                real_field)
 
 FR = rational_field()
 FL = real_field()
@@ -103,6 +106,46 @@ def test_env_var_rejects_invalid_digits():
         [sys.executable, "-m", "wcflobdd.cli", "eval", "H_2", "00"],
         env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+def test_nonpositive_rounding_digits_are_rejected():
+    makers = (real_field, complex_field, RealSemifield, ComplexSemifield,
+              lambda d: field_by_name("float", d),
+              lambda d: field_by_name("complex", d))
+    for digits in (0, -1, -10):
+        for make in makers:
+            with pytest.raises(ValueError, match=repr(digits)):
+                make(digits)
+    assert real_field(1).is_zero(0.04) and not real_field(1).is_zero(1.0)
+
+
+def _rounded_key(field, a):
+    """The key as rounding alone makes it, with no shortcut."""
+    d = field.rounding_digits
+    if field.name == "real":
+        return round(float(a), d) + 0.0
+    c = complex(a)
+    return (round(c.real, d) + 0.0, round(c.imag, d) + 0.0)
+
+
+KEY_EDGE_VALUES = (0.0, -0.0, 0j, complex(-0.0, -0.0), complex(1, -0.0),
+                   1, True, Fraction(0), Fraction(1), 1e-11, 5e-11,
+                   0.99999999999, 1 + 1e-12j, float("inf"), float("nan"))
+
+
+def test_exact_constant_keys_equal_the_rounded_keys():
+    for digits in (10, 6):
+        for field in (real_field(digits), complex_field(digits)):
+            for v in KEY_EDGE_VALUES:
+                if field.name == "real" and isinstance(v, complex):
+                    continue
+                assert repr(field.key(v)) == repr(_rounded_key(field, v)), \
+                    (field, v)
+    assert FC.key(complex(-0.0, 0.0)) is FC._zero_key
+    assert FC.key(Fraction(1)) is FC._one_key
+    assert FL.key(-0.0) is FL._zero_key
+    with pytest.raises(TypeError):
+        FL.key(0j)
 
 
 def test_pow2_materializes_small_exponents():
