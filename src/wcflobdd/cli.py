@@ -339,6 +339,8 @@ def cmd_op(args):
 
 
 def cmd_sample(args):
+    if args.count < 0:
+        raise ValueError(f"sample count {args.count} is negative")
     d, _forest = _resolve(args.input, args.instance)
     if args.measure:
         d = measure_view(d)

@@ -173,17 +173,17 @@ def exp_family(forest: Forest, n: int) -> Diagram:
 
 
 def _tower(forest: Forest, name: str, level: int, cells, step):
-    """Head grouping of a matrix family at ``level``, cached under ``name``.
+    """Head grouping of a family at ``level``, cached under ``name``.
 
-    Level 1 folds ``cells``, the names of the four field constants of
-    the 2x2 matrix in interleaved order. Each level above wires the
-    level below as ``step(below, zero proto)``, which returns the
-    B-connections and return tuples.
+    The base level folds ``cells``, the names of its field constants in
+    assignment order (four at level 1, two at level 0). Each level above
+    wires the level below as ``step(below, zero proto)``, which returns
+    the B-connections and return tuples.
     """
     cache = forest.cache(name)
     g = cache.get(level)
     if g is None:
-        if level == 1:
+        if 1 << (1 << level) == len(cells):
             g = fold(forest, [getattr(forest.field, c) for c in cells]).head
         else:
             below = _tower(forest, name, level - 1, cells, step)
@@ -228,7 +228,8 @@ def hadamard_family(forest: Forest, l: int) -> Diagram:
 
     Built directly on the shared proto tower; the factor follows the
     same squaring chain a Kronecker power produces, so the two
-    constructions intern to the identical triple.
+    constructions intern to the identical triple.  From level 13 the
+    factor 2^-2048 underflows to 0.0 and OverflowError is raised.
     """
     if l < 1:
         raise ValueError("hadamard_family needs level >= 1")
@@ -238,6 +239,8 @@ def hadamard_family(forest: Forest, l: int) -> Diagram:
     factor = field.mul(field.one, 2 ** -0.5)
     for _ in range(l - 1):
         factor = field.mul(factor, factor)
+    if factor == 0:  # a zero factor on a nonzero head is not canonical
+        raise OverflowError(f"the H_{1 << l} factor underflows to 0")
     return forest.diagram(factor, _walsh_proto(forest, l),
                           (forest.field.one,))
 

@@ -10,12 +10,17 @@ exit vertices whose coefficients absorb the summed path weights.  The
 polynomials collapse to numbers only at top level, after which a reduce
 pass restores canonicity.
 
+A level-k diagram is also a vector over the 2^k row bits of a level
+k+1 matrix.  Both A-connections then cover the first half of the rows,
+so matrix-vector application runs the same recursion, down to a 2x2
+block times a level-0 leaf.
+
 Bilinear polynomials are plain dicts mapping ``(ev1, ev2)`` exit-index
 pairs to nonzero coefficients; the empty dict is the zero polynomial.
 """
 
 from .core import (Diagram, StructureError, collapse_classes_leftmost,
-                   collapse_rows, evaluate, is_zero_diagram)
+                   collapse_rows, is_zero_diagram)
 from .construct import identity_matrix, identity_proto
 from .pointwise import _common_forest, reduce, weighted_pair_product
 
@@ -104,16 +109,34 @@ def kronecker(n1: Diagram, n2: Diagram) -> Diagram:
 def matrix_multiply(n1: Diagram, n2: Diagram) -> Diagram:
     """Matrix product of two interleaved-order square matrices."""
     forest = _common_forest(n1, n2)
-    field = forest.field
-    level = n1.level
-    if level < 1:
+    if n1.level < 1:
         raise ValueError("matrices need at least one row and one column bit")
+    return _product(forest, n1, n2)
+
+
+def apply_matrix_to_vector(m: Diagram, v: Diagram) -> Diagram:
+    """The vector M v, for a level-(k+1) matrix and a level-k vector.
+
+    The vector reads one bit per row of the matrix, in the matrix's row
+    order, and so does the result.
+    """
+    if m.forest is not v.forest:
+        raise ValueError("operands belong to different forests")
+    if m.level != v.level + 1:
+        raise ValueError("a level-(k+1) matrix needs a level-k vector")
+    return _product(m.forest, m, v)
+
+
+def _product(forest, n1, n2):
+    """n1 times n2, a matrix or a vector at the level of ``n2``."""
+    field = forest.field
     if is_zero_diagram(n1) or is_zero_diagram(n2):
-        return forest.zero_diagram(level)
-    if n2 is identity_matrix(forest, level):
-        return n1
-    if n1 is identity_matrix(forest, level):
+        return forest.zero_diagram(n2.level)
+    if n1 is identity_matrix(forest, n1.level):
         return n2
+    # A vector is never this identity: it sits a level lower.
+    if n2 is identity_matrix(forest, n1.level):
+        return n1
 
     g, m, w = _mat_mult_groupings(forest, n1.head, n2.head)
     v = []
@@ -131,7 +154,7 @@ def matrix_multiply(n1: Diagram, n2: Diagram) -> Diagram:
 
 
 def _mat_mult_groupings(forest, g1, g2):
-    """Symbolic product of two proto-matrices.
+    """Symbolic product of a proto-matrix and a proto-matrix or vector.
 
     Returns ``(g, m, w)`` where ``g`` ranges over the distinguishable
     product cells, ``m`` holds one bilinear polynomial per exit of ``g``
@@ -141,10 +164,11 @@ def _mat_mult_groupings(forest, g1, g2):
             == w * path_g(x) * m[exit_g(x) - 1]
 
     with the polynomial's (ev1, ev2) terms standing for the operands'
-    exit vertices.
+    exit vertices.  A proto-vector ``g2`` sits one level below ``g1``;
+    it has no column, so ``x`` is a row path and ``g`` a proto-vector.
     """
-    if g1.level != g2.level:
-        raise ValueError("matrix operands must share a level")
+    if g1.level - g2.level not in (0, 1):
+        raise ValueError("operand levels must be equal or one apart")
     field = forest.field
     cache = forest.cache("matrix_mult")
     key = (id(g1), id(g2))
@@ -152,10 +176,9 @@ def _mat_mult_groupings(forest, g1, g2):
     if hit is not None:
         return hit
 
-    level = g1.level
-    zp = forest.zero_proto(level)
-    ip = identity_proto(forest, level)
-    if g1 is zp or g2 is zp:
+    zp = forest.zero_proto(g2.level)
+    ip = identity_proto(forest, g1.level)
+    if g1 is forest.zero_proto(g1.level) or g2 is zp:
         res = (zp, ({},), field.zero)
     elif g1 is ip:
         # I * M keeps M; only diagonal paths (exit 1 of the identity
@@ -167,7 +190,9 @@ def _mat_mult_groupings(forest, g1, g2):
         res = (g1, tuple({(k, 1): field.one}
                          for k in range(1, g1.number_of_exits + 1)),
                field.one)
-    elif level == 1:
+    elif g2.level == 0:
+        res = _mat_vec_base(forest, g1, g2)
+    elif g1.level == 1:
         res = _mat_mult_base(forest, g1, g2)
     else:
         res = _mat_mult_internal(forest, g1, g2)
@@ -206,6 +231,21 @@ def _mat_mult_base(forest, g1, g2):
     return (g, reps, one)
 
 
+def _mat_vec_base(forest, g1, g2):
+    """A 2x2 block times a level-0 proto-vector."""
+    field = forest.field
+    bps = []
+    for row in _cells(forest, g1):
+        bp = {}
+        for (w1, e1), (e2, w2) in zip(row, (g2.branch(0), g2.branch(1))):
+            coeff = field.mul(w1, w2)
+            if not field.is_zero(coeff):
+                bp = bp_add(field, bp, {(e1, e2): coeff})
+        bps.append(bp)
+    reps, _ = _collapse_bps(field, bps)
+    return (forest.leaf(field.one, field.one, len(reps)), reps, field.one)
+
+
 def _cells(forest, g):
     cells = []
     for r in (0, 1):
@@ -228,7 +268,7 @@ def _mat_mult_internal(forest, g1, g2):
     all_bps = []
     exit_values = []
     for bp_a in ma:
-        acc = _symbolic_zero(forest, g1.level - 1)
+        acc = _symbolic_zero(forest, g2.level - 1)
         for (k1, k2), v in bp_a.items():
             bb, mb, wb = _mat_mult_groupings(forest, g1.b_connections[k1 - 1],
                                              g2.b_connections[k2 - 1])
@@ -280,35 +320,3 @@ def _symbolic_add(forest, s1, s2):
     values = tuple(field.zero if not bp else field.one for bp in deduced)
     reduced, w = reduce(forest, g, rho, values)
     return (w, reduced, reps)
-
-
-def apply_matrix_to_vector(m: Diagram, s: Diagram) -> Diagram:
-    """Apply a matrix to a broadcast-column state.
-
-    ``s`` encodes a vector v as the column-constant matrix V(r, c) =
-    v(r); then (M x V)(r, c) = (M v)(r) for every c, so the product is
-    again broadcast and no scaling correction is needed.
-    """
-    _probe_broadcast(s)
-    return matrix_multiply(m, s)
-
-
-def _probe_broadcast(s: Diagram):
-    """Cheap spot check that a state ignores its column bits."""
-    level = s.level
-    if level > 3:
-        return
-    field = s.forest.field
-    half = 1 << (level - 1)
-    for row_bit in (0, 1):
-        seen = None
-        for col_bit in (0, 1):
-            bits = []
-            for _ in range(half):
-                bits.append(row_bit)
-                bits.append(col_bit)
-            value = field.key(evaluate(s, bits))
-            if seen is None:
-                seen = value
-            elif seen != value:
-                raise ValueError("state is not column-independent")

@@ -1,11 +1,10 @@
 """Quantum states, gates, and stock circuits over the complex instance.
 
-States are broadcast-column diagrams: a level-k diagram reads the
-interleaved bits (q0 row, q0 col, q1 row, ...) and a state stores
-amplitude(x) in every cell of row x, so gate application is plain
-matrix multiplication with no scaling correction.  Qubit counts are
-padded up to a power of two; padding qubits stay |0> and are stripped
-again by measurement, as are the column bits.
+Qubit counts are padded up to a power of two p; padding qubits stay |0>
+and are stripped again by measurement.  A state is a level-log2(p)
+vector over one bit per qubit, and apply_matrix_to_vector runs each
+gate, a level log2(p)+1 matrix, against it.  Basis states are Kronecker
+trees like the gates below, over cached |0...0> towers.
 
 Qubit 0 is the most significant bit of a basis label: |q0 q1 ... >.
 
@@ -28,8 +27,8 @@ import cmath
 import math
 
 from .core import Diagram, Forest, evaluate
-from .construct import (fold, hadamard_family, identity_matrix, not_matrix,
-                        scalar_multiply)
+from .construct import (_identity_step, _tower, fold, hadamard_family,
+                        identity_matrix, not_matrix, scalar_multiply)
 from .matrix import apply_matrix_to_vector, kronecker, matrix_multiply
 from .pointwise import add, subtract
 from .sampling import SampleContext, measure_view, sample_assignment
@@ -70,6 +69,18 @@ def _padded(n: int) -> int:
 
 def _level(p: int) -> int:
     return p.bit_length()  # p is a power of two: level = log2(p) + 1
+
+
+def _identity(forest, width):
+    return identity_matrix(forest, _level(width))
+
+
+def _zero_ket(forest, width):
+    """|0...0> on ``width`` qubits, a power of two."""
+    field = forest.field
+    head = _tower(forest, "zero_ket", _level(width) - 1, ("one", "zero"),
+                  _identity_step)
+    return forest.diagram(field.one, head, (field.one, field.zero))
 
 
 class QuantumState:
@@ -216,20 +227,20 @@ def _projector(forest, bit):
     return hit
 
 
-def _kron_segment(forest, lo, hi, specials):
+def _kron_segment(forest, lo, hi, specials, default=_identity):
     """Kronecker product of per-qubit factors over [lo, hi).
 
-    ``specials`` maps qubit index to a level-1 matrix; everything else
-    is the identity, and all-identity segments come from the cache
-    without recursing.
+    ``specials`` maps qubit index to a one-qubit factor; every other
+    qubit takes ``default``'s, and all-default segments come from
+    ``default(forest, width)`` without recursing.
     """
     if not any(lo <= q < hi for q in specials):
-        return identity_matrix(forest, _level(hi - lo))
+        return default(forest, hi - lo)
     if hi - lo == 1:
         return specials[lo]
     mid = (lo + hi) // 2
-    return kronecker(_kron_segment(forest, lo, mid, specials),
-                     _kron_segment(forest, mid, hi, specials))
+    return kronecker(_kron_segment(forest, lo, mid, specials, default),
+                     _kron_segment(forest, mid, hi, specials, default))
 
 
 def _controlled(forest, lo, hi, a, b, u):
@@ -282,49 +293,28 @@ def build_gate(forest: Forest, gate, n: int) -> Diagram:
 
 
 def basis_state(forest: Forest, bits) -> Diagram:
-    """Broadcast-column diagram for the basis state |bits>.
+    """Level-log2(p) vector diagram of the basis state |bits> on p qubits.
 
-    ``bits`` must already have power-of-two length; use run_circuit or
+    ``bits`` must already have power-of-two length p; use run_circuit or
     QuantumState for logical qubit counts.
     """
     bits = tuple(int(b) for b in bits)
     p = len(bits)
     if p & (p - 1) or p < 1:
         raise ValueError("basis_state needs a power-of-two qubit count")
-    field = forest.field
-    blocks = (fold(forest, [field.one, field.one, field.zero, field.zero]),
-              fold(forest, [field.zero, field.zero, field.one, field.one]))
-    zero_powers = forest.cache("basis_zero_powers")
-
-    def segment_zero(width):
-        hit = zero_powers.get(width)
-        if hit is None:
-            if width == 1:
-                hit = blocks[0]
-            else:
-                half = segment_zero(width // 2)
-                hit = kronecker(half, half)
-            zero_powers[width] = hit
-        return hit
-
-    def segment(lo, hi):
-        width = hi - lo
-        if not any(bits[lo:hi]):
-            return segment_zero(width)
-        if width == 1:
-            return blocks[bits[lo]]
-        mid = (lo + hi) // 2
-        return kronecker(segment(lo, mid), segment(mid, hi))
-
-    return segment(0, p)
+    if set(bits) - {0, 1}:
+        raise ValueError("basis_state bits must be 0 or 1")
+    ket1 = fold(forest, [forest.field.zero, forest.field.one])
+    return _kron_segment(forest, 0, p,
+                         {q: ket1 for q, b in enumerate(bits) if b},
+                         _zero_ket)
 
 
 def run_circuit(circuit: Circuit, forest: Forest | None = None) -> QuantumState:
     """Left fold of gate application starting from |0...0>."""
     if forest is None:
         forest = quantum_forest()
-    p = _padded(circuit.n)
-    state = basis_state(forest, (0,) * p)
+    state = _zero_ket(forest, _padded(circuit.n))
     for gate in circuit.gates:
         matrix = build_gate(forest, gate, circuit.n)
         state = apply_matrix_to_vector(matrix, state)
@@ -336,12 +326,7 @@ def amplitude(state: QuantumState, bits) -> complex:
     bits = tuple(int(b) for b in bits)
     if len(bits) != state.n:
         raise ValueError(f"expected {state.n} bits")
-    padded = bits + (0,) * (state.padded - state.n)
-    assignment = []
-    for b in padded:
-        assignment.append(b)
-        assignment.append(0)
-    return evaluate(state.diagram, assignment)
+    return evaluate(state.diagram, bits + (0,) * (state.padded - state.n))
 
 
 def state_vector(state: QuantumState):
@@ -358,15 +343,16 @@ def state_vector(state: QuantumState):
 def measure(state: QuantumState, shots: int, seed: int):
     """Histogram of basis labels sampled from |amplitude|^2.
 
-    Column bits and padding qubits are stripped from each draw; the
-    result maps n-character bit strings to counts.
+    Padding qubits are stripped from each draw; the result maps
+    n-character bit strings to counts.  Negative ``shots`` raise.
     """
+    if shots < 0:
+        raise ValueError(f"shot count {shots} is negative")
     view = measure_view(state.diagram)
     ctx = SampleContext(seed)
     counts = {}
     for _ in range(shots):
-        a = sample_assignment(view, ctx)
-        label = a[0::2][:state.n]
+        label = sample_assignment(view, ctx)[:state.n]
         counts[label] = counts.get(label, 0) + 1
     return counts
 

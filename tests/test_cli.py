@@ -125,3 +125,10 @@ def test_sample_is_seed_deterministic():
 
 def test_unknown_family_is_an_error():
     run_cli("eval", "NOPE_3", "001", expect=2)
+
+
+def test_negative_shot_and_sample_counts_are_errors(tmp_path):
+    circuit = tmp_path / "bell.qc"
+    circuit.write_text("H 0\nCNOT 0 1\n")
+    run_cli("run", str(circuit), "--shots", "-3", expect=2)
+    run_cli("sample", "W_4", "--seed", "3", "--count", "-2", expect=2)

@@ -177,3 +177,18 @@ def test_identity_and_not_matrices():
                         for r in range(side)]
     assert validate(identity_matrix(F, 3)) == []
     assert validate(not_matrix(F, 3)) == []
+
+
+def test_hadamard_factor_underflow_raises():
+    # Level 12's factor 2^-1024 is subnormal but nonzero; level 13's
+    # 2^-2048 would underflow to a zero factor on a nonzero head.
+    for instance in (real_field(), complex_field()):
+        forest = Forest(instance)
+        h = hadamard_family(forest, 12)
+        assert abs(h.factor / 2.0 ** -1024 - 1) < 1e-9
+        assert evaluate(h, [1] * 4096) == h.factor
+        try:
+            hadamard_family(forest, 13)
+            assert False, "a zero Hadamard factor must raise"
+        except OverflowError:
+            pass

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from wcflobdd.core import Forest, evaluate, validate
 from wcflobdd.construct import (fold, hadamard_family, identity_matrix,
-                                not_matrix, walsh_family)
+                                not_matrix, unfold, walsh_family)
 from wcflobdd.matrix import (apply_matrix_to_vector, bp_add, bp_scale,
                              kronecker, matrix_multiply)
 from wcflobdd.matrix import _mat_mult_groupings
@@ -155,15 +155,59 @@ def test_multiply_memo_is_pure():
 
 def test_apply_matrix_to_vector():
     h = hadamard_family(FL, 1)
-    ket0 = fold(FL, [1.0, 1.0, 0.0, 0.0])  # |0>, column-broadcast
+    ket0 = fold(FL, [1.0, 0.0])  # |0>
     out = apply_matrix_to_vector(h, ket0)
     root = 2 ** -0.5
-    assert abs(evaluate(out, [0, 0]) - root) < 1e-12
-    assert abs(evaluate(out, [1, 0]) - root) < 1e-12
-    # still column-constant
-    assert evaluate(out, [0, 0]) == evaluate(out, [0, 1])
+    assert abs(evaluate(out, [0]) - root) < 1e-12
+    assert abs(evaluate(out, [1]) - root) < 1e-12
     try:
         apply_matrix_to_vector(h, identity_matrix(FL, 1))
-        assert False, "a non-broadcast right operand must be rejected"
+        assert False, "a matrix right operand must be rejected"
     except ValueError:
         pass
+
+
+def test_apply_matrix_to_vector_against_dense_oracle():
+    fc = Forest(complex_field())
+    rng = oracle.seeded(52)
+    for forest, kind in ((F, "rational"), (fc, "complex")):
+        zero = forest.field.zero
+        for level in (1, 2, 3):
+            for _ in range(8 if level < 3 else 3):
+                table = oracle.random_matrix_table(rng, level, kind)
+                entries = oracle.random_table(rng, 1 << (level - 1), kind)
+                m = oracle.from_dense(forest, table)
+                v = fold(forest, entries)
+                out = apply_matrix_to_vector(m, v)
+                want = [sum((a * b for a, b in zip(row, unfold(v))),
+                            start=zero)
+                        for row in oracle.to_dense(m)]
+                assert out.level == v.level
+                if kind == "rational":
+                    assert out is fold(forest, want)
+                else:
+                    got = unfold(out)
+                    assert len(got) == len(want)
+                    for g, w in zip(got, want):
+                        assert abs(g - w) < 1e-9 * max(1.0, abs(w))
+                assert validate(out) == []
+                # The shortcuts hand back the interned operands.
+                assert apply_matrix_to_vector(
+                    identity_matrix(forest, level), v) is v
+                assert apply_matrix_to_vector(
+                    forest.zero_diagram(level), v) is forest.zero_diagram(
+                        level - 1)
+                assert apply_matrix_to_vector(
+                    m, forest.zero_diagram(level - 1)) is \
+                    forest.zero_diagram(level - 1)
+
+
+def test_apply_matrix_to_vector_rejects_bad_operands():
+    m = identity_matrix(F, 2)
+    for v in (fold(F, [ONE, ONE]), identity_matrix(F, 2),
+              fold(Forest(rational_field()), [ONE, ONE, ONE, ONE])):
+        try:
+            apply_matrix_to_vector(m, v)
+            assert False, v
+        except ValueError:
+            pass

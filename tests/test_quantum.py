@@ -222,3 +222,35 @@ CNOT 0 1
         assert False
     except ValueError as e:
         assert "line 1" in str(e)
+
+
+def test_basis_state_is_the_folded_ket():
+    f = quantum_forest()
+    for p in (1, 2, 4):
+        for x in range(1 << p):
+            bits = [(x >> (p - 1 - j)) & 1 for j in range(p)]
+            ket = [0j] * (1 << p)
+            ket[x] = 1 + 0j
+            assert basis_state(f, bits) is fold(f, ket), bits
+    try:
+        basis_state(f, (0, 2))
+        assert False, "a bit outside 0/1 must be rejected"
+    except ValueError:
+        pass
+
+
+def test_measure_ghz_1024_is_balanced():
+    # Measure-view totals used to include a 2^(column bits) factor that
+    # overflowed to inf here, so every shot gave the all-ones label.
+    n = 1024
+    counts = measure(run_circuit(ghz(n)), 64, seed=3)
+    p = oracle.chi_square_p(counts, {"0" * n: 0.5, "1" * n: 0.5}, 64)
+    assert p > 0.001, {k[:4]: c for k, c in counts.items()}
+
+
+def test_negative_shot_count_is_rejected():
+    try:
+        measure(run_circuit(ghz(2)), -3, seed=0)
+        assert False, "a negative shot count must raise"
+    except ValueError:
+        pass
