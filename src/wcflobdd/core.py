@@ -280,6 +280,22 @@ class Forest:
         """Drop all operation memo tables (unique tables are kept)."""
         self.caches.clear()
 
+    def stats(self) -> dict:
+        """Entry counts of the unique tables and of each memo table.
+
+        Returns ``{"groupings": n, "diagrams": n, "canonical_ids": n,
+        "caches": {name: entries}}`` with the memo tables by name.  It
+        reads only the tables' lengths; nothing is counted while the
+        forest works.
+        """
+        return {
+            "groupings": len(self._grouping_table),
+            "diagrams": len(self._diagram_table),
+            "canonical_ids": len(self._canonical_ids),
+            "caches": {name: len(table)
+                       for name, table in sorted(self.caches.items())},
+        }
+
     # -- constant protos -------------------------------------------------
 
     def zero_proto(self, level: int) -> Grouping:

@@ -15,6 +15,9 @@ k+1 matrix.  Both A-connections then cover the first half of the rows,
 so matrix-vector application runs the same recursion, down to a 2x2
 block times a level-0 leaf.
 
+On the float instances a product whose factor leaves the float range
+raises OverflowError rather than return a wrong diagram.
+
 Bilinear polynomials are plain dicts mapping ``(ev1, ev2)`` exit-index
 pairs to nonzero coefficients; the empty dict is the zero polynomial.
 """
@@ -103,7 +106,8 @@ def kronecker(n1: Diagram, n2: Diagram) -> Diagram:
     values, rts = collapse_rows(cells, field.key)
     g = forest.internal(n1.head, bs, rts)
     forest.mark_canonical(g)
-    return forest.diagram(field.mul(n1.factor, n2.factor), g, values)
+    return _product_diagram(forest, field.mul(n1.factor, n2.factor), g,
+                            values)
 
 
 def matrix_multiply(n1: Diagram, n2: Diagram) -> Diagram:
@@ -150,7 +154,24 @@ def _product(forest, n1, n2):
     projected, rho = collapse_classes_leftmost(pattern)
     reduced, fw = reduce(forest, g, rho, tuple(v))
     factor = field.mul(field.mul(w, fw), field.mul(n1.factor, n2.factor))
-    return forest.diagram(factor, reduced, projected)
+    return _product_diagram(forest, factor, reduced, projected)
+
+
+def _product_diagram(forest, factor, head, values):
+    """The interned product, unless its float factor left the range.
+
+    A factor that overflowed to inf or nan, or underflowed to 0 on a
+    nonzero head, raises OverflowError instead of giving a diagram with
+    the wrong value or one ``validate`` rejects.  Exact instances never
+    raise here.
+    """
+    field = forest.field
+    if not field.is_finite(factor) or (
+            factor == field.zero
+            and head is not forest.zero_proto(head.level)):
+        raise OverflowError(f"level-{head.level} product factor "
+                            f"{factor!r} is out of float range")
+    return forest.diagram(factor, head, values)
 
 
 def _mat_mult_groupings(forest, g1, g2):

@@ -21,6 +21,21 @@ full width.  Since (A (x) I) + (B (x) I) = (A + B) (x) I, canonicity
 gives the same handle as the sum over the whole register.  The |0><0|
 and |1><1| factors are folded once per forest and kept in its
 ``gate_factors`` table.
+
+A block of either kind is a function of its width, of the positions of
+its special qubits counted from the block's first qubit, and of their
+one-qubit factors, but not of where the block sits in the register.
+The forest's ``gate_blocks`` table keeps every block wider than one
+qubit under that offset-free key, so the block a CNOT needs at qubits
+(40, 41) is the one made for (8, 9), and each distinct block is built
+once per forest rather than once per recursion step.  The factors
+enter the key as the diagrams themselves.  Diagrams hash and compare by
+identity, and each factor is interned, so equal factors give equal
+keys; the key holds a reference, so an identity cannot be freed and
+reused while the entry lives.  A rebuild at any offset would run the
+same operations on the same handles in the same order, so a stored
+block is the handle, with the same bytes, that the rebuild would
+intern.
 """
 
 import cmath
@@ -227,38 +242,63 @@ def _projector(forest, bit):
     return hit
 
 
-def _kron_segment(forest, lo, hi, specials, default=_identity):
-    """Kronecker product of per-qubit factors over [lo, hi).
+def _kron_segment(forest, width, specials, default=_identity):
+    """Kronecker product of per-qubit factors over ``width`` qubits.
 
-    ``specials`` maps qubit index to a one-qubit factor; every other
-    qubit takes ``default``'s, and all-default segments come from
-    ``default(forest, width)`` without recursing.
+    ``specials`` is a tuple of (qubit, one-qubit factor) pairs in
+    ascending qubit order, counted from the first qubit of the segment;
+    every other qubit takes ``default``'s factor, and all-default
+    segments come from ``default(forest, width)`` without recursing.
+
+    The product depends only on the width, the relative positions, the
+    factors and ``default``, never on where the segment sits in the
+    register, so wider segments are kept in the forest's
+    ``gate_blocks`` table under exactly that key.  A segment repeated
+    at another offset, or in another gate, returns the stored handle.
     """
-    if not any(lo <= q < hi for q in specials):
-        return default(forest, hi - lo)
-    if hi - lo == 1:
-        return specials[lo]
-    mid = (lo + hi) // 2
-    return kronecker(_kron_segment(forest, lo, mid, specials, default),
-                     _kron_segment(forest, mid, hi, specials, default))
+    if not specials:
+        return default(forest, width)
+    if width == 1:
+        return specials[0][1]
+    blocks = forest.cache("gate_blocks")
+    key = (width, default, specials)
+    hit = blocks.get(key)
+    if hit is None:
+        half = width // 2
+        left = tuple(s for s in specials if s[0] < half)
+        right = tuple((q - half, u) for q, u in specials if q >= half)
+        hit = blocks[key] = kronecker(
+            _kron_segment(forest, half, left, default),
+            _kron_segment(forest, half, right, default))
+    return hit
 
 
-def _controlled(forest, lo, hi, a, b, u):
-    """C-U with control a and target b (a != b) over [lo, hi).
+def _controlled(forest, width, a, b, u):
+    """C-U with control a and target b (a != b) over ``width`` qubits.
 
     The projection sum is taken on the smallest balanced block that
     holds both qubits; above it the gate is that block (x) identity.
+    Qubits count from the first of the block, so like _kron_segment
+    the result is kept in ``gate_blocks`` under (width, a, b, u).
     """
-    mid = (lo + hi) // 2
-    if a < mid and b < mid:
-        return kronecker(_controlled(forest, lo, mid, a, b, u),
-                         identity_matrix(forest, _level(hi - mid)))
-    if a >= mid and b >= mid:
-        return kronecker(identity_matrix(forest, _level(mid - lo)),
-                         _controlled(forest, mid, hi, a, b, u))
-    return add(_kron_segment(forest, lo, hi, {a: _projector(forest, 0)}),
-               _kron_segment(forest, lo, hi, {a: _projector(forest, 1),
-                                              b: u}))
+    blocks = forest.cache("gate_blocks")
+    key = (width, a, b, u)
+    hit = blocks.get(key)
+    if hit is None:
+        half = width // 2
+        if a < half and b < half:
+            hit = kronecker(_controlled(forest, half, a, b, u),
+                            _identity(forest, half))
+        elif a >= half and b >= half:
+            hit = kronecker(_identity(forest, half),
+                            _controlled(forest, half, a - half, b - half, u))
+        else:
+            acting = tuple(sorted(((a, _projector(forest, 1)), (b, u))))
+            hit = add(_kron_segment(forest, width,
+                                    ((a, _projector(forest, 0)),)),
+                      _kron_segment(forest, width, acting))
+        blocks[key] = hit
+    return hit
 
 
 def build_gate(forest: Forest, gate, n: int) -> Diagram:
@@ -280,13 +320,13 @@ def build_gate(forest: Forest, gate, n: int) -> Diagram:
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of range for {n} qubits")
     if kind in ("H", "X", "PHASE"):
-        return _kron_segment(forest, 0, p,
-                             {qubits[0]: _single(forest, kind, theta)})
+        return _kron_segment(forest, p,
+                             ((qubits[0], _single(forest, kind, theta)),))
     a, b = qubits
     if a == b:
         raise ValueError("control and target must differ")
     u = _single(forest, "X" if kind == "CNOT" else "PHASE", theta)
-    return _controlled(forest, 0, p, a, b, u)
+    return _controlled(forest, p, a, b, u)
 
 
 # -- states -----------------------------------------------------------------
@@ -305,8 +345,8 @@ def basis_state(forest: Forest, bits) -> Diagram:
     if set(bits) - {0, 1}:
         raise ValueError("basis_state bits must be 0 or 1")
     ket1 = fold(forest, [forest.field.zero, forest.field.one])
-    return _kron_segment(forest, 0, p,
-                         {q: ket1 for q, b in enumerate(bits) if b},
+    return _kron_segment(forest, p,
+                         tuple((q, ket1) for q, b in enumerate(bits) if b),
                          _zero_ket)
 
 
@@ -453,13 +493,14 @@ def grover(n: int, hidden: str, forest: Forest | None = None):
 
     def reflect_about(bits):
         """I - 2 (|bits><bits| (x) I_pad)."""
-        projector = _kron_segment(forest, 0, p, {
-            q: _projector(forest, int(bit)) for q, bit in enumerate(bits)})
+        projector = _kron_segment(forest, p, tuple(
+            (q, _projector(forest, int(bit))) for q, bit in enumerate(bits)))
         return subtract(identity, scalar_multiply(two, projector))
 
     oracle = reflect_about(hidden)
-    hadamards = _kron_segment(forest, 0, p,
-                              {q: _single(forest, "H") for q in range(n)})
+    hadamards = _kron_segment(forest, p,
+                              tuple((q, _single(forest, "H"))
+                                    for q in range(n)))
     flip = scalar_multiply(field.minus_one, reflect_about("0" * n))
     diffusion = matrix_multiply(hadamards, matrix_multiply(flip, hadamards))
     uniform = Circuit(n)

@@ -22,6 +22,8 @@ a diagram carries, key without rounding to one shared object each.
 
 from __future__ import annotations
 
+import cmath
+import math
 import os
 import re
 from fractions import Fraction
@@ -150,6 +152,10 @@ class Semifield:
 
     def is_one(self, a) -> bool:
         return self.key(a) == self._one_key
+
+    def is_finite(self, a) -> bool:
+        """False for a float weight that overflowed to inf or nan."""
+        return True
 
     def abs2(self, a):
         """Squared magnitude of ``a``, as a value of measure_field()."""
@@ -291,6 +297,9 @@ class RealSemifield(Semifield):
             return self._one_key
         return round(a, self.rounding_digits) + 0.0  # merge -0.0 with 0.0
 
+    def is_finite(self, a) -> bool:
+        return math.isfinite(a)
+
     def abs2(self, a):
         return float(a) * float(a)
 
@@ -340,6 +349,9 @@ class ComplexSemifield(Semifield):
         if c == 1:
             return self._one_key
         return (self._round1(c.real), self._round1(c.imag))
+
+    def is_finite(self, a) -> bool:
+        return cmath.isfinite(a)
 
     def abs2(self, a):
         c = complex(a)

@@ -5,6 +5,7 @@ from fractions import Fraction
 from wcflobdd.core import (Forest, StructureError, evaluate, evaluate_exit,
                            reachable_groupings, size, validate)
 from wcflobdd.construct import exp_family, fold, hadamard_family
+from wcflobdd.pointwise import add, multiply
 from wcflobdd.semifield import rational_field, real_field
 
 import oracle
@@ -169,6 +170,34 @@ def test_validate_flags_zero_factor_on_nonzero_diagram():
     d = f.diagram(ZERO, f.one_proto(1), (ONE,))
     msgs = validate(d)
     assert any("canonical zero" in m for m in msgs), msgs
+
+
+def test_stats_counts_tables_and_grows_until_cleared():
+    f = Forest(real_field())
+    before = f.stats()
+    assert set(before) == {"groupings", "diagrams", "canonical_ids",
+                           "caches"}
+    assert before["caches"] == {}
+    rng = oracle.seeded(5)
+    seen = before
+    for _ in range(4):
+        a = fold(f, [rng.choice((0.0, 1.0, 2.5)) for _ in range(16)])
+        b = fold(f, [rng.choice((0.0, -1.0, 3.0)) for _ in range(16)])
+        add(a, multiply(a, b))
+        now = f.stats()
+        for name in ("groupings", "diagrams", "canonical_ids"):
+            assert now[name] >= seen[name], name
+        for name, entries in seen["caches"].items():
+            assert now["caches"][name] >= entries, name
+        seen = now
+    assert seen["diagrams"] == len(f._diagram_table)
+    assert seen["caches"]["pair_product"] > 0
+    assert seen["caches"]["reduce"] > 0
+    f.clear_caches()
+    cleared = f.stats()
+    assert cleared["caches"] == {}
+    for name in ("groupings", "diagrams", "canonical_ids"):
+        assert cleared[name] == seen[name], name
 
 
 def test_named_caches_clear_but_interning_survives():

@@ -76,6 +76,35 @@ def test_hadamard_squares_to_identity():
         assert matrix_multiply(h, h) is identity_matrix(FL, l)
 
 
+def test_product_factor_out_of_float_range_raises():
+    # The product weight 2^1024 of H_11 * H_11 overflows to inf (nan at
+    # level 12), and kron(H_12, H_12) has the factor 2^-2048, which is
+    # 0.0 on a nonzero head; each used to come back as a wrong diagram.
+    for instance in (real_field(), complex_field()):
+        forest = Forest(instance)
+        h10 = hadamard_family(forest, 10)
+        assert matrix_multiply(h10, h10) is identity_matrix(forest, 10)
+        for l in (11, 12):
+            h = hadamard_family(forest, l)
+            try:
+                matrix_multiply(h, h)
+                assert False, f"H_{l} * H_{l} must raise"
+            except OverflowError:
+                pass
+        h12 = hadamard_family(forest, 12)
+        try:
+            kronecker(h12, h12)
+            assert False, "kron(H_12, H_12) must raise"
+        except OverflowError:
+            pass
+    # Exact weights never leave their range.
+    w = walsh_family(F, 12)
+    square = matrix_multiply(w, w)
+    assert square.head is identity_matrix(F, 12).head
+    assert square.factor == 2 ** 2048
+    assert kronecker(w, w).factor == 1
+
+
 def test_walsh_squares_to_scaled_identity():
     w = walsh_family(F, 2)
     table = oracle.to_dense(matrix_multiply(w, w))

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import numpy as np
 
@@ -13,6 +14,7 @@ from wcflobdd.quantum import (Circuit, amplitude, basis_state,
                               bernstein_vazirani, build_gate, deutsch_jozsa,
                               ghz, grover, measure, parse_circuit, qft,
                               quantum_forest, run_circuit, state_vector)
+from wcflobdd.serialize import dump_diagram
 
 import oracle
 
@@ -91,6 +93,31 @@ def test_controlled_gates_are_the_full_width_projection_sum():
                                          else i1 for q in range(16)])
                 gate = (kind, a, b) if kind == "CNOT" else (kind, theta, a, b)
                 assert build_gate(f, gate, 16) is add(rest, acting), gate
+
+
+def test_gate_block_memo_gives_the_gates_of_a_fresh_forest():
+    """Every one- and two-qubit gate on 16 qubits, built in one forest in
+    a shuffled order so that gate_blocks serves blocks made for other
+    gates and offsets, dumps like the same gate built in a fresh forest.
+    Dropping the memo tables halfway keeps every handle."""
+    theta = math.pi / 3
+    gates = [(kind, q) for kind in ("H", "X") for q in range(16)]
+    gates += [("PHASE", theta, q) for q in range(16)]
+    pairs = [(a, b) for a in range(16) for b in range(16) if a != b]
+    gates += [("CNOT", a, b) for a, b in pairs]
+    gates += [("CP", theta, a, b) for a, b in pairs]
+    random.Random(12).shuffle(gates)
+    f = quantum_forest()
+    built = {}
+    for i, gate in enumerate(gates):
+        if i == len(gates) // 2:
+            assert f.stats()["caches"]["gate_blocks"] > 0
+            f.clear_caches()
+            for earlier, handle in built.items():
+                assert build_gate(f, earlier, 16) is handle, earlier
+        built[gate] = build_gate(f, gate, 16)
+        alone = build_gate(quantum_forest(), gate, 16)
+        assert dump_diagram(built[gate]) == dump_diagram(alone), gate
 
 
 def test_build_gate_rejects_qubits_outside_the_register():
