@@ -46,7 +46,7 @@ from .construct import (_identity_step, _tower, fold, hadamard_family,
                         identity_matrix, not_matrix, scalar_multiply)
 from .matrix import apply_matrix_to_vector, kronecker, matrix_multiply
 from .pointwise import add, subtract
-from .sampling import SampleContext, measure_view, sample_assignment
+from .sampling import SampleContext, measure_view, sampler
 from .semifield import complex_field
 
 __all__ = [
@@ -391,8 +391,13 @@ def measure(state: QuantumState, shots: int, seed: int):
     view = measure_view(state.diagram)
     ctx = SampleContext(seed)
     counts = {}
+    if not shots:
+        # Zero shots draw nothing, so a zero view is no error here.
+        return counts
+    draw = sampler(view)
+    n = state.n
     for _ in range(shots):
-        label = sample_assignment(view, ctx)[:state.n]
+        label = draw(ctx)[:n]
         counts[label] = counts.get(label, 0) + 1
     return counts
 

@@ -1,13 +1,36 @@
 """Path-weight totals and proportional assignment sampling.
 
-One table per grouping, built bottom-up and memoized in the forest's
-``sample_cdf`` table, holds for each exit the draws that reach it and
-their running totals: a bit at level 0, and at an internal grouping a
-(middle, B-exit) pair weighted by (weight into the middle) * (weight
-from the middle to that B-exit).  An exit's last running total is its
-sum over matched paths (compute_weights).  A path is sampled without
-unfolding: each grouping picks a draw in proportion to its weight, then
-the two halves are sampled recursively and concatenated.
+The forest's ``sample_cdf`` table holds, per grouping, one row per exit,
+built bottom-up.  A row lists the draws that reach its exit and their
+running totals.  At level 0 a draw is its bit.  At an internal grouping
+a draw is a (middle, B-exit) pair, held as direct references to the
+A-connection's row for that middle and the B-connection's row for that
+B-exit, and weighted by the product of those rows' totals.  A row's
+last running total is its exit's sum over matched paths
+(compute_weights).
+
+A path is sampled without unfolding: a row picks a draw in proportion
+to its weight with one ``random()`` call, then the two child rows are
+walked in order, A first; the bits are collected in one list and
+joined once.  A row is *forced* when its exit has one draw, its total
+is not zero and both child rows are forced; the two rows of a level-0
+fork are forced.  A forced row's path is always the same, so the row
+keeps its bit string ``fixed`` and ``spent``, the number of
+``random()`` calls its walk would make.  The walk appends ``fixed`` and
+advances the generator with ``getrandbits(64 * spent)``, which on the
+Mersenne Twister consumes the same 2 * spent 32-bit words as ``spent``
+calls to ``random()``; every seeded draw, and the generator state after
+it, is that of the full walk.
+
+Float rows keep their running totals scaled by 2^-``exp`` with the last
+one in [0.5, 1), and store ``exp``: a term is the product of the child
+rows' scaled totals with their exponents added, and the terms of an
+exit are aligned to the largest exponent before they are summed.  So a
+grouping with more than 2^1024 paths, or totals below the smallest
+float, still samples in proportion.  Scaling by a power of two is
+exact when nothing overflows or underflows, so it changes no draw of a
+table whose plain totals stay in range.  Rational rows are exact and
+keep ``exp`` at 0.
 
 Leaf weights are checked to be nonnegative reals before any sum is
 formed, so no sum can cancel.  Quantum states carry signed or complex
@@ -16,6 +39,7 @@ every weight's magnitude; a matched path's weight is a pure product,
 hence the view's path weight is exactly |amplitude|^2.
 """
 
+import math
 import random
 from bisect import bisect_right
 
@@ -27,6 +51,7 @@ __all__ = [
     "measure_forest",
     "measure_view",
     "sample_assignment",
+    "sampler",
 ]
 
 
@@ -43,11 +68,12 @@ class SampleContext:
 def compute_weights(forest: Forest, grouping: Grouping):
     """Per-exit sums of matched-path weights.
 
-    Raises ValueError on a negative or complex weight, where a sum
-    could cancel.
+    On the float instance a total beyond the float range reads as
+    ``inf`` and one below it as 0.0; sampling uses the scaled totals
+    and is not affected.  Raises ValueError on a negative or complex
+    weight, where a sum could cancel.
     """
-    return tuple(cumulative[-1]
-                 for _, cumulative in _distributions(forest, grouping))
+    return tuple(_plain(row) for row in _rows(forest, grouping))
 
 
 def measure_forest(forest: Forest) -> Forest:
@@ -105,25 +131,52 @@ def sample_assignment(diagram: Diagram, ctx: SampleContext) -> str:
     variable).  Weights must be nonnegative reals; raises ValueError
     when the eligible paths have zero total weight.
     """
+    return _draw(_target_row(diagram), ctx.source)
+
+
+def sampler(diagram: Diagram):
+    """A function ``ctx -> assignment`` that draws as sample_assignment.
+
+    The unit-valued exit is found and checked once, here, so repeated
+    draws from one diagram skip that lookup.  Raises as
+    sample_assignment does.
+    """
+    row = _target_row(diagram)
+    return lambda ctx: _draw(row, ctx.source)
+
+
+class _Row:
+    """One exit of one grouping; see the module docstring."""
+
+    __slots__ = ("draws", "cumulative", "exp", "fixed", "spent")
+
+    def __init__(self, draws, cumulative, exp):
+        self.draws = draws
+        self.cumulative = cumulative
+        self.exp = exp
+        self.fixed = None
+        self.spent = 0
+
+
+def _target_row(diagram):
+    """The row of the head exit leading to the unit-valued terminal."""
     forest = diagram.forest
     field = forest.field
     one_key = field._one_key
     target = None
     for i, v in enumerate(diagram.values):
         if field.key(v) == one_key:
-            target = i + 1
+            target = i
             break
     if target is None or diagram.factor == field.zero:
         raise ValueError("total path weight is zero")
     _require_nonneg(diagram.factor)
-    total = compute_weights(forest, diagram.head)[target - 1]
+    row = _rows(forest, diagram.head)[target]
     # Exact comparison: branch probabilities are ratios, so a total far
     # below the rounding key's resolution still defines a distribution.
-    if total == field.zero:
+    if row.cumulative[-1] == field.zero:
         raise ValueError("total path weight is zero")
-    # compute_weights has tabled every grouping below the head.
-    return _sample(forest.cache("sample_cdf"), field.zero, diagram.head,
-                   target, ctx.source)
+    return row
 
 
 def _require_nonneg(w):
@@ -135,8 +188,18 @@ def _require_nonneg(w):
                          "use measure_view first")
 
 
-def _distributions(forest, g):
-    """Per exit of ``g``: (draws reaching it, their running totals).
+def _plain(row):
+    """A row's total as a plain value."""
+    if not row.exp:
+        return row.cumulative[-1]
+    try:
+        return math.ldexp(row.cumulative[-1], row.exp)
+    except OverflowError:
+        return math.inf
+
+
+def _rows(forest, g):
+    """Rows of ``g``'s exits, in exit order, tabled in ``sample_cdf``.
 
     Internal draws come in middle order, then B-exit order.
     """
@@ -149,39 +212,81 @@ def _distributions(forest, g):
         _require_nonneg(g.lw)
         _require_nonneg(g.rw)
         if g.number_of_exits == 2:
-            result = ((("0",), (g.lw,)), (("1",), (g.rw,)))
+            rows = (_row(field, ("0",), [g.lw], 0),
+                    _row(field, ("1",), [g.rw], 0))
+            for row in rows:
+                row.fixed = row.draws[0]
         else:
-            result = ((("0", "1"), (g.lw, field.add(g.lw, g.rw))),)
-    else:
-        wa = compute_weights(forest, g.a_connection)
-        draws = [[] for _ in range(g.number_of_exits)]
-        cumulative = [[] for _ in range(g.number_of_exits)]
-        running = [field.zero] * g.number_of_exits
-        for j, (b, rt) in enumerate(zip(g.b_connections, g.b_return_tuples)):
-            for k, total_b in enumerate(compute_weights(forest, b)):
-                e = rt[k] - 1
-                running[e] = field.add(running[e], field.mul(wa[j], total_b))
-                draws[e].append((j + 1, k + 1))
-                cumulative[e].append(running[e])
-        result = tuple(zip(draws, cumulative))
-    cache[id(g)] = result
-    return result
+            rows = (_row(field, ("0", "1"), [g.lw, field.add(g.lw, g.rw)],
+                         0),)
+        cache[id(g)] = rows
+        return rows
+    draws = [[] for _ in range(g.number_of_exits)]
+    terms = [[] for _ in range(g.number_of_exits)]
+    for a, b, rt in zip(_rows(forest, g.a_connection), g.b_connections,
+                        g.b_return_tuples):
+        for e, row_b in zip(rt, _rows(forest, b)):
+            draws[e - 1].append((a, row_b))
+            terms[e - 1].append((field.mul(a.cumulative[-1],
+                                           row_b.cumulative[-1]),
+                                 a.exp + row_b.exp))
+    rows = []
+    for exit_draws, exit_terms in zip(draws, terms):
+        # Align to the largest exponent of a term that has weight.
+        top = max((x for w, x in exit_terms if w), default=0)
+        running = field.zero
+        cumulative = []
+        for w, x in exit_terms:
+            running = field.add(running,
+                                w if x == top else math.ldexp(w, x - top))
+            cumulative.append(running)
+        row = _row(field, exit_draws, cumulative, top)
+        if running == field.zero:
+            # No draw has weight: reaching this row raises.
+            row.draws = ()
+        elif len(exit_draws) == 1:
+            a, b = exit_draws[0]
+            if a.fixed is not None and b.fixed is not None:
+                row.fixed = a.fixed + b.fixed
+                row.spent = 1 + a.spent + b.spent
+        rows.append(row)
+    rows = cache[id(g)] = tuple(rows)
+    return rows
 
 
-def _sample(table, zero, g, i, rng):
-    """Bits of one path from ``g``'s entry to its exit ``i``."""
-    draws, cumulative = table[id(g)][i - 1]
-    if g.level == 0:
-        # A fork's exit fixes the bit: nothing to draw.
-        return draws[0] if len(draws) == 1 else _pick(draws, cumulative, rng)
-    if cumulative[-1] == zero:
+def _row(field, draws, cumulative, exp):
+    """A row over ``cumulative``, float totals renormalized."""
+    if isinstance(field.zero, float):
+        shift = math.frexp(cumulative[-1])[1]
+        if shift:
+            cumulative = [math.ldexp(c, -shift) for c in cumulative]
+            exp += shift
+    return _Row(draws, cumulative, exp)
+
+
+def _draw(row, rng):
+    """Bits of one path through ``row``, as a string."""
+    out = []
+    _walk(row, rng, out)
+    return "".join(out)
+
+
+def _walk(row, rng, out):
+    """Append the bits of one path through ``row`` to ``out``."""
+    if row.fixed is not None:
+        out.append(row.fixed)
+        if row.spent:
+            rng.getrandbits(64 * row.spent)
+        return
+    draws = row.draws
+    if not draws:
         raise ValueError("total path weight is zero")
-    m, k = _pick(draws, cumulative, rng)
-    return (_sample(table, zero, g.a_connection, m, rng) +
-            _sample(table, zero, g.b_connections[m - 1], k, rng))
-
-
-def _pick(draws, cumulative, rng):
-    """The first draw whose running total exceeds a uniform point."""
+    cumulative = row.cumulative
+    # The first draw whose running total exceeds a uniform point.
     point = rng.random() * cumulative[-1]
-    return draws[min(bisect_right(cumulative, point), len(draws) - 1)]
+    draw = draws[min(bisect_right(cumulative, point), len(draws) - 1)]
+    if type(draw) is str:
+        out.append(draw)
+    else:
+        _walk(draw[0], rng, out)
+        _walk(draw[1], rng, out)

@@ -6,6 +6,7 @@ algorithms being tested, except for `unfold`/`evaluate` to read results
 back out.
 """
 
+import bisect
 import cmath
 import functools
 import math
@@ -146,6 +147,62 @@ def analytic_prob(forest, g, i, bits):
     p_m = wa[m - 1] * wb[k - 1] / compute_weights(forest, g)[i - 1]
     return (p_m * analytic_prob(forest, g.a_connection, m, bits[:half])
             * analytic_prob(forest, g.b_connections[m - 1], k, bits[half:]))
+
+
+def reference_walk(forest, g, i, rng, memo):
+    """Bits of one path from ``g``'s entry to its exit i, drawn from rng.
+
+    The sampler's recursion with one ``rng.random()`` per internal
+    grouping and per don't-care leaf, even where the exit has one draw,
+    so it fixes the seeded stream the sampler must reproduce. Each
+    exit's draws and running totals are rebuilt here from
+    compute_weights of the two halves and the grouping structure, and
+    kept in ``memo`` (a dict the caller owns) by grouping and exit.
+    """
+    draws, cumulative = _reference_distribution(forest, g, i, memo)
+    if g.level == 0:
+        # A fork's exit fixes the bit: nothing to draw.
+        return draws[0] if len(draws) == 1 else \
+            _reference_pick(draws, cumulative, rng)
+    if cumulative[-1] == forest.field.zero:
+        raise ValueError("total path weight is zero")
+    m, k = _reference_pick(draws, cumulative, rng)
+    return (reference_walk(forest, g.a_connection, m, rng, memo) +
+            reference_walk(forest, g.b_connections[m - 1], k, rng, memo))
+
+
+def _reference_distribution(forest, g, i, memo):
+    """(draws, running totals) reaching exit i of g, memoized."""
+    from wcflobdd.sampling import compute_weights
+
+    key = (id(g), i)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    field = forest.field
+    if g.level == 0:
+        if g.number_of_exits == 2:
+            hit = ("01"[i - 1],), [g.lw if i == 1 else g.rw]
+        else:
+            hit = ("0", "1"), [g.lw, field.add(g.lw, g.rw)]
+    else:
+        wa = compute_weights(forest, g.a_connection)
+        draws, cumulative, running = [], [], field.zero
+        for j, (b, rt) in enumerate(zip(g.b_connections, g.b_return_tuples)):
+            for k, total_b in enumerate(compute_weights(forest, b)):
+                if rt[k] == i:
+                    running = field.add(running, field.mul(wa[j], total_b))
+                    draws.append((j + 1, k + 1))
+                    cumulative.append(running)
+        hit = draws, cumulative
+    memo[key] = hit
+    return hit
+
+
+def _reference_pick(draws, cumulative, rng):
+    """The first draw whose running total exceeds a uniform point."""
+    point = rng.random() * cumulative[-1]
+    return draws[min(bisect.bisect_right(cumulative, point), len(draws) - 1)]
 
 
 def chi_square_p(counts, probs, shots):

@@ -1,13 +1,16 @@
 """Path-weight accumulation, squared-magnitude views, and drawing samples."""
 
+import functools
+import random
 from fractions import Fraction
 
-from wcflobdd.core import Forest
+from wcflobdd.core import Forest, reachable_groupings
 from wcflobdd.construct import fold, hadamard_family, unfold, walsh_family
 from wcflobdd.matrix import apply_matrix_to_vector
-from wcflobdd.quantum import bernstein_vazirani, ghz, measure, qft, run_circuit
+from wcflobdd.quantum import (Circuit, bernstein_vazirani, ghz, measure, qft,
+                              run_circuit)
 from wcflobdd.sampling import (SampleContext, compute_weights, measure_view,
-                               sample_assignment)
+                               sample_assignment, sampler)
 from wcflobdd.semifield import complex_field, rational_field, real_field
 
 import oracle
@@ -169,3 +172,99 @@ def test_sample_streams_are_pinned():
         "0111", "1101", "0111", "1100", "1101", "1110", "1101", "1000",
         "1101", "0101", "0011", "1100", "0111", "1110", "1101", "1101",
         "0011", "0011", "1100", "1101"]
+
+
+def _pooled_nonneg(rng, level, kind):
+    """Seeded nonnegative table at ``level``, zero-rich and never all zero.
+
+    From level 3 up, each half-width row is one of a few smaller tables
+    (or zeros) times a small scale, so the fold stays small.
+    """
+    if level <= 2:
+        table = [Fraction(0) if rng.random() < 0.35 else
+                 Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                 for _ in range(1 << (1 << level))]
+    else:
+        half = 1 << (level - 1)
+        pool = [_pooled_nonneg(rng, level - 1, "rational") for _ in range(3)]
+        pool.append([Fraction(0)] * (1 << half))
+        table = []
+        for _ in range(1 << half):
+            scale = rng.choice((ONE, Fraction(2), Fraction(1, 3)))
+            table.extend(v * scale for v in rng.choice(pool))
+    if not any(table):
+        table[rng.randrange(len(table))] = ONE
+    return table if kind == "rational" else [float(v) for v in table]
+
+
+def _unit_exit(d):
+    field = d.forest.field
+    return 1 + next(i for i, v in enumerate(d.values)
+                    if field.key(v) == field._one_key)
+
+
+def test_sample_stream_matches_reference_walk():
+    """Each draw, and the generator state after it, equals the plain
+    recursive walk that spends one random() per grouping, so forced
+    rows skip the right number of calls."""
+    views = [measure_view(run_circuit(c).diagram) for c in (
+        ghz(256), ghz(1024),
+        bernstein_vazirani(127, format(0x5A3C96E1, "032b") * 3 + "1" * 31),
+        qft(8, 77))]
+    uniform = Circuit(64)
+    for q in range(6):
+        uniform.h(q)
+    views.append(measure_view(run_circuit(uniform).diagram))
+    rng = oracle.seeded(15)
+    tables = [fold(forest, _pooled_nonneg(rng, level, kind))
+              for kind, forest in (("rational", F), ("float", FL))
+              for level in range(5)]
+    leaves = [g for d in tables for g in reachable_groupings(d.head)
+              if g.level == 0]
+    assert any(g.number_of_exits == 1 and g.lw != g.rw for g in leaves)
+    assert any(g.lw == 0 or g.rw == 0 for g in leaves)
+    # Views draw as measure does, tables through sample_assignment.
+    cases = [(v, sampler(v)) for v in views] + \
+        [(t, functools.partial(sample_assignment, t)) for t in tables]
+    for index, (d, draw) in enumerate(cases):
+        target = _unit_exit(d)
+        memo = {}
+        ctx = SampleContext(index)
+        ref = random.Random(index)
+        for _ in range(200):
+            label = draw(ctx)
+            assert label == oracle.reference_walk(d.forest, d.head, target,
+                                                  ref, memo), index
+            assert ctx.source.getstate() == ref.getstate(), index
+
+
+def test_getrandbits_advances_like_random_calls():
+    # Forced rows advance the generator with getrandbits(64 * spent) in
+    # place of spent random() calls; the seeded streams rely on both
+    # taking the same 32-bit words from the Mersenne Twister.
+    for count in (1, 2, 255, 1023, 4095):
+        calls, bulk = random.Random(count), random.Random(count)
+        for _ in range(count):
+            calls.random()
+        bulk.getrandbits(64 * count)
+        assert calls.getstate() == bulk.getstate(), count
+
+
+def test_sampling_past_the_float_range():
+    # The head of this state has two draws of 2^1023 each, whose plain
+    # sum overflowed to inf, so every shot took the last one.
+    n = 2048
+    c = Circuit(n)
+    c.h(0)
+    c.cnot(0, n // 2)
+    for q in range(n // 2 + 1, n):
+        c.h(q)
+    state = run_circuit(c)
+    counts = {}
+    for seed in (1, 2, 3):
+        for label, count in measure(state, 40, seed).items():
+            assert label[0] == label[n // 2], label[:4]
+            pair = label[0] + label[n // 2]
+            counts[pair] = counts.get(pair, 0) + count
+    p = oracle.chi_square_p(counts, {"00": 0.5, "11": 0.5}, 120)
+    assert p > 0.001, counts
