@@ -30,7 +30,7 @@ tower builder. Tests assert they coincide with folds where feasible.
 
 from __future__ import annotations
 
-from .core import Diagram, Forest, collapse_rows
+from .core import Diagram, Forest, _checked_diagram, collapse_rows
 from .semifield import Pow2, RationalSemifield
 
 __all__ = [
@@ -126,8 +126,8 @@ def scalar_multiply(scalar, diagram: Diagram) -> Diagram:
     field = forest.field
     if field.is_zero(scalar) or field.is_zero(diagram.factor):
         return forest.zero_diagram(diagram.level)
-    return forest.diagram(field.mul(scalar, diagram.factor), diagram.head,
-                          diagram.values)
+    return _checked_diagram(forest, field.mul(scalar, diagram.factor),
+                            diagram.head, diagram.values)
 
 
 # -- named families -------------------------------------------------------
@@ -239,10 +239,8 @@ def hadamard_family(forest: Forest, l: int) -> Diagram:
     factor = field.mul(field.one, 2 ** -0.5)
     for _ in range(l - 1):
         factor = field.mul(factor, factor)
-    if factor == 0:  # a zero factor on a nonzero head is not canonical
-        raise OverflowError(f"the H_{1 << l} factor underflows to 0")
-    return forest.diagram(factor, _walsh_proto(forest, l),
-                          (forest.field.one,))
+    return _checked_diagram(forest, factor, _walsh_proto(forest, l),
+                            (field.one,))
 
 
 def identity_matrix(forest: Forest, l: int) -> Diagram:

@@ -337,6 +337,24 @@ class Forest:
                 f"groupings, {len(self._diagram_table)} diagrams>")
 
 
+def _checked_diagram(forest, factor, head, values) -> Diagram:
+    """``forest.diagram``, unless a float factor left the range.
+
+    Every operation that computes a factor interns its result here.  A
+    factor that overflowed to inf or nan, or underflowed to 0 on a
+    nonzero head, raises OverflowError instead of giving a diagram with
+    the wrong value or one ``validate`` rejects.  Exact instances never
+    raise here.
+    """
+    field = forest.field
+    if not field.is_finite(factor) or (
+            factor == field.zero
+            and head is not forest.zero_proto(head.level)):
+        raise OverflowError(f"level-{head.level} factor {factor!r} is out "
+                            "of float range")
+    return forest.diagram(factor, head, values)
+
+
 # -- class collapse ---------------------------------------------------------
 
 

@@ -22,8 +22,8 @@ Bilinear polynomials are plain dicts mapping ``(ev1, ev2)`` exit-index
 pairs to nonzero coefficients; the empty dict is the zero polynomial.
 """
 
-from .core import (Diagram, StructureError, collapse_classes_leftmost,
-                   collapse_rows, is_zero_diagram)
+from .core import (Diagram, StructureError, _checked_diagram,
+                   collapse_classes_leftmost, collapse_rows, is_zero_diagram)
 from .construct import identity_matrix, identity_proto
 from .pointwise import _common_forest, reduce, weighted_pair_product
 
@@ -106,7 +106,7 @@ def kronecker(n1: Diagram, n2: Diagram) -> Diagram:
     values, rts = collapse_rows(cells, field.key)
     g = forest.internal(n1.head, bs, rts)
     forest.mark_canonical(g)
-    return _product_diagram(forest, field.mul(n1.factor, n2.factor), g,
+    return _checked_diagram(forest, field.mul(n1.factor, n2.factor), g,
                             values)
 
 
@@ -154,24 +154,7 @@ def _product(forest, n1, n2):
     projected, rho = collapse_classes_leftmost(pattern)
     reduced, fw = reduce(forest, g, rho, tuple(v))
     factor = field.mul(field.mul(w, fw), field.mul(n1.factor, n2.factor))
-    return _product_diagram(forest, factor, reduced, projected)
-
-
-def _product_diagram(forest, factor, head, values):
-    """The interned product, unless its float factor left the range.
-
-    A factor that overflowed to inf or nan, or underflowed to 0 on a
-    nonzero head, raises OverflowError instead of giving a diagram with
-    the wrong value or one ``validate`` rejects.  Exact instances never
-    raise here.
-    """
-    field = forest.field
-    if not field.is_finite(factor) or (
-            factor == field.zero
-            and head is not forest.zero_proto(head.level)):
-        raise OverflowError(f"level-{head.level} product factor "
-                            f"{factor!r} is out of float range")
-    return forest.diagram(factor, head, values)
+    return _checked_diagram(forest, factor, reduced, projected)
 
 
 def _mat_mult_groupings(forest, g1, g2):
@@ -211,8 +194,6 @@ def _mat_mult_groupings(forest, g1, g2):
         res = (g1, tuple({(k, 1): field.one}
                          for k in range(1, g1.number_of_exits + 1)),
                field.one)
-    elif g2.level == 0:
-        res = _mat_vec_base(forest, g1, g2)
     elif g1.level == 1:
         res = _mat_mult_base(forest, g1, g2)
     else:
@@ -222,12 +203,16 @@ def _mat_mult_groupings(forest, g1, g2):
 
 
 def _mat_mult_base(forest, g1, g2):
+    """A 2x2 block times a 2x2 block, or times a level-0 proto-vector."""
     field = forest.field
     cells1 = _cells(forest, g1)
-    cells2 = _cells(forest, g2)
+    if g2.level:
+        cells2 = _cells(forest, g2)
+    else:  # one column: the vector's (weight, exit) per row
+        cells2 = [[g2.branch(k)[::-1]] for k in (0, 1)]
     bps = []
     for r in (0, 1):
-        for c in (0, 1):
+        for c in range(len(cells2[0])):
             bp = {}
             for k in (0, 1):
                 w1, e1 = cells1[r][k]
@@ -236,10 +221,12 @@ def _mat_mult_base(forest, g1, g2):
                 if not field.is_zero(coeff):
                     bp = bp_add(field, bp, {(e1, e2): coeff})
             bps.append(bp)
-    # Group equal cells, then build the placeholder level-1 grouping that
+    # Group equal cells, then build the placeholder grouping that
     # realizes that cell partition with unit weights.
     reps, renumbered = _collapse_bps(field, bps)
     one = field.one
+    if not g2.level:
+        return (forest.leaf(one, one, len(reps)), reps, one)
     rows = []
     for r in (0, 1):
         left, right = renumbered[2 * r], renumbered[2 * r + 1]
@@ -250,21 +237,6 @@ def _mat_mult_base(forest, g1, g2):
     a = forest.leaf(one, one, len(middles))
     g = forest.internal(a, [b for b, _ in middles], [rt for _, rt in middles])
     return (g, reps, one)
-
-
-def _mat_vec_base(forest, g1, g2):
-    """A 2x2 block times a level-0 proto-vector."""
-    field = forest.field
-    bps = []
-    for row in _cells(forest, g1):
-        bp = {}
-        for (w1, e1), (e2, w2) in zip(row, (g2.branch(0), g2.branch(1))):
-            coeff = field.mul(w1, w2)
-            if not field.is_zero(coeff):
-                bp = bp_add(field, bp, {(e1, e2): coeff})
-        bps.append(bp)
-    reps, _ = _collapse_bps(field, bps)
-    return (forest.leaf(field.one, field.one, len(reps)), reps, field.one)
 
 
 def _cells(forest, g):

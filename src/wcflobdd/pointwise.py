@@ -16,8 +16,8 @@ non-normalized leaf weights); they only ever flow into ``reduce``.
 
 from functools import partial
 
-from .core import (Diagram, StructureError, collapse_classes_leftmost,
-                   collapse_rows, is_zero_diagram)
+from .core import (Diagram, StructureError, _checked_diagram,
+                   collapse_classes_leftmost, collapse_rows, is_zero_diagram)
 from .construct import scalar_multiply
 
 __all__ = [
@@ -189,7 +189,7 @@ def multiply(n1: Diagram, n2: Diagram) -> Diagram:
     reps, rho = collapse_classes_leftmost(deduced, field.key)
     reduced, w = reduce(forest, g, rho, deduced)
     factor = field.mul(w, field.mul(n1.factor, n2.factor))
-    return forest.diagram(factor, reduced, reps)
+    return _checked_diagram(forest, factor, reduced, reps)
 
 
 def weighted_pair_product(forest, g1, g2, p1, p2):
@@ -278,7 +278,7 @@ def add(n1: Diagram, n2: Diagram) -> Diagram:
                     for v in deduced)
     projected, rho = collapse_classes_leftmost(pattern)
     reduced, w = reduce(forest, g, rho, deduced)
-    return forest.diagram(w, reduced, projected)
+    return _checked_diagram(forest, w, reduced, projected)
 
 
 def subtract(n1: Diagram, n2: Diagram) -> Diagram:

@@ -3,50 +3,46 @@
 Qubit counts are padded up to a power of two p; padding qubits stay |0>
 and are stripped again by measurement.  A state is a level-log2(p)
 vector over one bit per qubit, and apply_matrix_to_vector runs each
-gate, a level log2(p)+1 matrix, against it.  Basis states are Kronecker
-trees like the gates below, over cached |0...0> towers.
+gate, a level log2(p)+1 matrix, against it.  Qubit 0 is the most
+significant bit of a basis label: |q0 q1 ... >.
 
-Qubit 0 is the most significant bit of a basis label: |q0 q1 ... >.
-
-One-qubit gates are embedded with balanced Kronecker trees over cached
-identities, so building a gate on P qubits touches O(log P) fresh
-groupings.  Controlled gates use the projection decomposition
+Every gate is one block at an offset.  One table gives each gate kind
+its angle count, its qubit count and the one-qubit factor U it applies,
+and one check reads it for Circuit, parse_circuit and build_gate.  A
+one-qubit gate's block is U.  A controlled gate's block is the smallest
+aligned block holding control a and target b, 1 << (a ^ b).bit_length()
+qubits wide, where it is the projection sum
 
     C-U(a, b) = |0><0|_a (x) I  +  |1><1|_a (x) U_b
 
-taken only on the smallest balanced block of the register that holds
-both a and b: the two terms are assembled over that block and added
-there, and the sum is Kronecker'd with cached identities up to the
-full width.  Since (A (x) I) + (B (x) I) = (A + B) (x) I, canonicity
-gives the same handle as the sum over the whole register.  The |0><0|
-and |1><1| factors are folded once per forest and kept in its
-``gate_factors`` table.
+with a and b counted from the block's first qubit.  Since
+(A (x) I) + (B (x) I) = (A + B) (x) I, canonicity gives the same handle
+as the sum over the whole register.  The projectors are folded once per
+forest into its ``gate_factors`` table.
 
-A block of either kind is a function of its width, of the positions of
-its special qubits counted from the block's first qubit, and of their
-one-qubit factors, but not of where the block sits in the register.
-The forest's ``gate_blocks`` table keeps every block wider than one
-qubit under that offset-free key, so the block a CNOT needs at qubits
-(40, 41) is the one made for (8, 9), and each distinct block is built
-once per forest rather than once per recursion step.  The factors
-enter the key as the diagrams themselves.  Diagrams hash and compare by
-identity, and each factor is interned, so equal factors give equal
-keys; the key holds a reference, so an identity cannot be freed and
-reused while the entry lives.  A rebuild at any offset would run the
-same operations on the same handles in the same order, so a stored
-block is the handle, with the same bytes, that the rebuild would
-intern.
+_kron_segment alone places blocks among identities, with a balanced
+Kronecker tree, so a gate on P qubits touches O(log P) fresh groupings.
+A segment depends on its width, its blocks and their positions counted
+from its first qubit, not on where it sits in the register.  The
+forest's ``gate_blocks`` table keeps each segment and each controlled
+block under that offset-free key, so the segment a CNOT needs at qubits
+(40, 41) is the one made for (8, 9).  Blocks enter the key as interned
+diagrams, which hash and compare by identity; the key holds a
+reference, so an identity cannot be freed and reused while the entry
+lives.  A rebuild at any offset runs the same operations on the same
+handles in the same order, so it would intern the stored handle.
 """
 
 import cmath
 import math
+import operator
 
 from .core import Diagram, Forest, evaluate
 from .construct import (_identity_step, _tower, fold, hadamard_family,
                         identity_matrix, not_matrix, scalar_multiply)
 from .matrix import apply_matrix_to_vector, kronecker, matrix_multiply
 from .pointwise import add, subtract
-from .sampling import SampleContext, measure_view, sampler
+from .sampling import SampleContext, _draw, _target_row
 from .semifield import complex_field
 
 __all__ = [
@@ -98,6 +94,60 @@ def _zero_ket(forest, width):
     return forest.diagram(field.one, head, (field.one, field.zero))
 
 
+# -- the gate table ---------------------------------------------------------
+
+
+def _phase(forest, theta):
+    one, zero = forest.field.one, forest.field.zero
+    return fold(forest, [one, zero, zero, cmath.exp(1j * theta)])
+
+
+# kind -> (angle count, qubit count, its one-qubit factor from
+# (forest, *angles)); a two-qubit kind applies its factor to the target.
+_GATES = {
+    "H": (0, 1, lambda forest: hadamard_family(forest, 1)),
+    "X": (0, 1, lambda forest: not_matrix(forest, 1)),
+    "PHASE": (1, 1, _phase),
+}
+_GATES["CNOT"] = (0, 2, _GATES["X"][2])
+_GATES["CP"] = (1, 2, _phase)
+
+
+def _checked(gate, n):
+    """(factor, angles, qubits) of a gate tuple on n qubits; the one check.
+
+    Raises ValueError unless the kind is in the table and the tuple holds
+    exactly its finite angles and its integer qubits (``operator.index``,
+    but no bool) in [0, n), with control and target apart.
+    """
+    try:
+        angles, width, factor = _GATES[gate[0]]
+    except (KeyError, IndexError, TypeError):
+        raise ValueError(f"unknown gate {gate!r}") from None
+    if len(gate) != 1 + angles + width:
+        raise ValueError(f"{gate[0]} takes {angles} angle(s) and {width} "
+                         f"qubit(s), got {gate!r}")
+    thetas, qubits = gate[1:1 + angles], gate[1 + angles:]
+    try:
+        finite = all(map(math.isfinite, thetas))
+    except TypeError:  # a string or complex angle
+        finite = False
+    try:  # map() keeps the per-item work in C, and the check cheap
+        ints = tuple(map(operator.index, qubits))
+    except TypeError:
+        ints = None
+    if not finite:
+        raise ValueError(f"angles {thetas!r} must be finite numbers")
+    if ints is None or bool in map(type, qubits):
+        raise ValueError(f"qubits {qubits!r} must be integers")
+    for q in ints:
+        if not 0 <= q < n:
+            raise ValueError(f"qubit {q} out of range for {n} qubits")
+    if width == 2 and ints[0] == ints[1]:
+        raise ValueError(f"{gate[0]} control and target must differ")
+    return factor, thetas, ints
+
+
 class QuantumState:
     """An n-qubit state plus the padded diagram that carries it."""
 
@@ -115,46 +165,31 @@ class QuantumState:
 class Circuit:
     """A gate list over n qubits; build with h/x/cnot/cp or parse_circuit."""
 
-    def __init__(self, n: int, hidden: str | None = None):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError("qubit count must be positive")
         self.n = n
-        self.hidden = hidden
         self.gates = []
 
-    def _check(self, *qubits):
-        for q in qubits:
-            if not 0 <= q < self.n:
-                raise ValueError(f"qubit {q} out of range for {self.n} qubits")
+    def _add(self, *gate):
+        _, angles, qubits = _checked(gate, self.n)
+        self.gates.append((gate[0], *angles, *qubits))
+        return self
 
     def h(self, q: int):
-        self._check(q)
-        self.gates.append(("H", q))
-        return self
+        return self._add("H", q)
 
     def x(self, q: int):
-        self._check(q)
-        self.gates.append(("X", q))
-        return self
+        return self._add("X", q)
 
     def phase(self, theta: float, q: int):
-        self._check(q)
-        self.gates.append(("PHASE", theta, q))
-        return self
+        return self._add("PHASE", theta, q)
 
     def cnot(self, control: int, target: int):
-        self._check(control, target)
-        if control == target:
-            raise ValueError("CNOT control and target must differ")
-        self.gates.append(("CNOT", control, target))
-        return self
+        return self._add("CNOT", control, target)
 
     def cp(self, theta: float, control: int, target: int):
-        self._check(control, target)
-        if control == target:
-            raise ValueError("CP control and target must differ")
-        self.gates.append(("CP", theta, control, target))
-        return self
+        return self._add("CP", theta, control, target)
 
     def __repr__(self):
         return f"<Circuit {self.n} qubits, {len(self.gates)} gates>"
@@ -163,10 +198,10 @@ class Circuit:
 def parse_circuit(text: str, n: int | None = None) -> Circuit:
     """Circuit from one gate per line.
 
-    Gates: H q | X q | PHASE theta q | CNOT c t | CP theta c t.
-
-    Blank lines and lines starting with # are skipped.  The qubit count
-    is inferred from the largest index unless given.
+    Gates: H q | X q | PHASE theta q | CNOT c t | CP theta c t, the kind
+    in any case.  Blank lines and lines starting with # are skipped.
+    The qubit count is inferred from the largest index unless given.
+    A malformed gate raises ValueError naming its line.
     """
     parsed = []
     top = -1
@@ -174,60 +209,27 @@ def parse_circuit(text: str, n: int | None = None) -> Circuit:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        op = parts[0].upper()
+        kind, *args = line.upper().split()
         try:
-            if op in ("H", "X") and len(parts) == 2:
-                q = int(parts[1])
-                parsed.append((op, q))
-                top = max(top, q)
-            elif op == "PHASE" and len(parts) == 3:
-                theta, q = float(parts[1]), int(parts[2])
-                parsed.append((op, theta, q))
-                top = max(top, q)
-            elif op == "CNOT" and len(parts) == 3:
-                a, b = int(parts[1]), int(parts[2])
-                parsed.append((op, a, b))
-                top = max(top, a, b)
-            elif op == "CP" and len(parts) == 4:
-                theta, a, b = float(parts[1]), int(parts[2]), int(parts[3])
-                parsed.append((op, theta, a, b))
-                top = max(top, a, b)
-            else:
-                raise ValueError("bad shape")
-        except ValueError:
+            angles = _GATES[kind][0]
+            gate = (kind, *map(float, args[:angles]),
+                    *map(int, args[angles:]))
+        except (KeyError, ValueError):
             raise ValueError(f"line {lineno}: cannot parse {line!r}") from None
-    if top < 0 and n is None:
+        parsed.append((lineno, gate))
+        top = max((top,) + gate[1 + angles:])
+    if not parsed and n is None:
         raise ValueError("empty circuit and no qubit count given")
-    count = (top + 1) if n is None else n
-    circuit = Circuit(count)
-    for gate in parsed:
-        if gate[0] == "H":
-            circuit.h(gate[1])
-        elif gate[0] == "X":
-            circuit.x(gate[1])
-        elif gate[0] == "PHASE":
-            circuit.phase(gate[1], gate[2])
-        elif gate[0] == "CNOT":
-            circuit.cnot(gate[1], gate[2])
-        else:
-            circuit.cp(gate[1], gate[2], gate[3])
+    circuit = Circuit(max(top + 1, 1) if n is None else n)
+    for lineno, gate in parsed:
+        try:
+            circuit._add(*gate)
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}") from None
     return circuit
 
 
 # -- gate construction -----------------------------------------------------
-
-
-def _single(forest, kind, theta=None):
-    field = forest.field
-    if kind == "H":
-        return hadamard_family(forest, 1)
-    if kind == "X":
-        return not_matrix(forest, 1)
-    if kind == "PHASE":
-        return fold(forest, [field.one, field.zero, field.zero,
-                             cmath.exp(1j * theta)])
-    raise ValueError(f"unknown single-qubit gate {kind!r}")
 
 
 def _projector(forest, bit):
@@ -242,23 +244,19 @@ def _projector(forest, bit):
     return hit
 
 
-def _kron_segment(forest, width, specials, default=_identity):
-    """Kronecker product of per-qubit factors over ``width`` qubits.
+def _kron_segment(forest, width, specials, default=_identity, span=1):
+    """Kronecker product of blocks and defaults over ``width`` qubits.
 
-    ``specials`` is a tuple of (qubit, one-qubit factor) pairs in
-    ascending qubit order, counted from the first qubit of the segment;
-    every other qubit takes ``default``'s factor, and all-default
-    segments come from ``default(forest, width)`` without recursing.
-
-    The product depends only on the width, the relative positions, the
-    factors and ``default``, never on where the segment sits in the
-    register, so wider segments are kept in the forest's
-    ``gate_blocks`` table under exactly that key.  A segment repeated
-    at another offset, or in another gate, returns the stored handle.
+    ``specials`` holds (qubit, block) pairs in ascending qubit order,
+    counted from the segment's first qubit; each block is ``span``
+    qubits wide and aligned to ``span``.  Every other span takes
+    ``default``'s factor, and an all-default segment is
+    ``default(forest, width)``.  Segments wider than ``span`` are kept
+    in ``gate_blocks`` under (width, default, specials).
     """
     if not specials:
         return default(forest, width)
-    if width == 1:
+    if width == span:
         return specials[0][1]
     blocks = forest.cache("gate_blocks")
     key = (width, default, specials)
@@ -268,36 +266,26 @@ def _kron_segment(forest, width, specials, default=_identity):
         left = tuple(s for s in specials if s[0] < half)
         right = tuple((q - half, u) for q, u in specials if q >= half)
         hit = blocks[key] = kronecker(
-            _kron_segment(forest, half, left, default),
-            _kron_segment(forest, half, right, default))
+            _kron_segment(forest, half, left, default, span),
+            _kron_segment(forest, half, right, default, span))
     return hit
 
 
 def _controlled(forest, width, a, b, u):
-    """C-U with control a and target b (a != b) over ``width`` qubits.
+    """C-U with control a and target b on a block of ``width`` qubits.
 
-    The projection sum is taken on the smallest balanced block that
-    holds both qubits; above it the gate is that block (x) identity.
-    Qubits count from the first of the block, so like _kron_segment
-    the result is kept in ``gate_blocks`` under (width, a, b, u).
+    ``width`` is the smallest aligned block that holds both qubits, and
+    they count from its first qubit, so the projection sum is kept in
+    ``gate_blocks`` under (width, a, b, u).
     """
     blocks = forest.cache("gate_blocks")
     key = (width, a, b, u)
     hit = blocks.get(key)
     if hit is None:
-        half = width // 2
-        if a < half and b < half:
-            hit = kronecker(_controlled(forest, half, a, b, u),
-                            _identity(forest, half))
-        elif a >= half and b >= half:
-            hit = kronecker(_identity(forest, half),
-                            _controlled(forest, half, a - half, b - half, u))
-        else:
-            acting = tuple(sorted(((a, _projector(forest, 1)), (b, u))))
-            hit = add(_kron_segment(forest, width,
-                                    ((a, _projector(forest, 0)),)),
-                      _kron_segment(forest, width, acting))
-        blocks[key] = hit
+        acting = tuple(sorted(((a, _projector(forest, 1)), (b, u))))
+        hit = blocks[key] = add(
+            _kron_segment(forest, width, ((a, _projector(forest, 0)),)),
+            _kron_segment(forest, width, acting))
     return hit
 
 
@@ -306,27 +294,17 @@ def build_gate(forest: Forest, gate, n: int) -> Diagram:
 
     ``gate`` is a tuple as stored by Circuit: ("H", q), ("X", q),
     ("PHASE", theta, q), ("CNOT", a, b), or ("CP", theta, a, b).
-    Raises ValueError for an unknown kind or a qubit outside [0, n).
+    Raises ValueError for a gate the one gate check rejects.
     """
     p = _padded(n)
-    kind = gate[0]
-    if kind in ("H", "X", "CNOT"):
-        theta, qubits = None, gate[1:]
-    elif kind in ("PHASE", "CP"):
-        theta, qubits = gate[1], gate[2:]
-    else:
-        raise ValueError(f"unknown gate {gate!r}")
-    for q in qubits:
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range for {n} qubits")
-    if kind in ("H", "X", "PHASE"):
-        return _kron_segment(forest, p,
-                             ((qubits[0], _single(forest, kind, theta)),))
+    factor, angles, qubits = _checked(gate, n)
+    u = factor(forest, *angles)
+    if len(qubits) == 1:
+        return _kron_segment(forest, p, ((qubits[0], u),))
     a, b = qubits
-    if a == b:
-        raise ValueError("control and target must differ")
-    u = _single(forest, "X" if kind == "CNOT" else "PHASE", theta)
-    return _controlled(forest, p, a, b, u)
+    width = 1 << (a ^ b).bit_length()
+    block = _controlled(forest, width, a % width, b % width, u)
+    return _kron_segment(forest, p, ((a - a % width, block),), span=width)
 
 
 # -- states -----------------------------------------------------------------
@@ -388,16 +366,15 @@ def measure(state: QuantumState, shots: int, seed: int):
     """
     if shots < 0:
         raise ValueError(f"shot count {shots} is negative")
-    view = measure_view(state.diagram)
-    ctx = SampleContext(seed)
     counts = {}
     if not shots:
-        # Zero shots draw nothing, so a zero view is no error here.
+        # Zero shots draw nothing, so a zero state is no error here.
         return counts
-    draw = sampler(view)
+    row = _target_row(state.diagram, view=True)
+    rng = SampleContext(seed).source
     n = state.n
     for _ in range(shots):
-        label = draw(ctx)[:n]
+        label = _draw(row, rng)[:n]
         counts[label] = counts.get(label, 0) + 1
     return counts
 
@@ -414,11 +391,9 @@ def ghz(n: int) -> Circuit:
     return c
 
 
-def bernstein_vazirani(n: int, hidden: str) -> Circuit:
-    """BV over n input qubits and one ancilla; measuring gives hidden."""
-    if len(hidden) != n or set(hidden) - {"0", "1"}:
-        raise ValueError("hidden string must be n bits of 0/1")
-    c = Circuit(n + 1, hidden=hidden)
+def _oracle_circuit(n, hidden):
+    """H around a CNOT into the |-> ancilla n from each 1 bit of hidden."""
+    c = Circuit(n + 1)
     c.x(n)
     for q in range(n + 1):
         c.h(q)
@@ -428,6 +403,13 @@ def bernstein_vazirani(n: int, hidden: str) -> Circuit:
     for q in range(n):
         c.h(q)
     return c
+
+
+def bernstein_vazirani(n: int, hidden: str) -> Circuit:
+    """BV over n input qubits and one ancilla; measuring gives hidden."""
+    if len(hidden) != n or set(hidden) - {"0", "1"}:
+        raise ValueError("hidden string must be n bits of 0/1")
+    return _oracle_circuit(n, hidden)
 
 
 def deutsch_jozsa(n: int, hidden: str | None) -> Circuit:
@@ -440,17 +422,7 @@ def deutsch_jozsa(n: int, hidden: str | None) -> Circuit:
     if hidden is not None and (len(hidden) != n or set(hidden) - {"0", "1"}
                                or hidden == "0" * n):
         raise ValueError("hidden string must be n bits and nonzero")
-    c = Circuit(n + 1, hidden=hidden)
-    c.x(n)
-    for q in range(n + 1):
-        c.h(q)
-    if hidden is not None:
-        for q, bit in enumerate(hidden):
-            if bit == "1":
-                c.cnot(q, n)
-    for q in range(n):
-        c.h(q)
-    return c
+    return _oracle_circuit(n, hidden or "")
 
 
 def qft(n: int, basis: int = 0) -> Circuit:
@@ -503,9 +475,8 @@ def grover(n: int, hidden: str, forest: Forest | None = None):
         return subtract(identity, scalar_multiply(two, projector))
 
     oracle = reflect_about(hidden)
-    hadamards = _kron_segment(forest, p,
-                              tuple((q, _single(forest, "H"))
-                                    for q in range(n)))
+    h = hadamard_family(forest, 1)
+    hadamards = _kron_segment(forest, p, tuple((q, h) for q in range(n)))
     flip = scalar_multiply(field.minus_one, reflect_about("0" * n))
     diffusion = matrix_multiply(hadamards, matrix_multiply(flip, hadamards))
     uniform = Circuit(n)

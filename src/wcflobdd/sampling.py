@@ -29,8 +29,12 @@ exit are aligned to the largest exponent before they are summed.  So a
 grouping with more than 2^1024 paths, or totals below the smallest
 float, still samples in proportion.  Scaling by a power of two is
 exact when nothing overflows or underflows, so it changes no draw of a
-table whose plain totals stay in range.  Rational rows are exact and
-keep ``exp`` at 0.
+table whose plain totals stay in range.  Rational rows keep exact
+totals, ``exp`` at 0, and the smallest float at or above each running
+total: for a float point p, a total c exceeds p exactly when its
+ceiling does, so the walk bisects floats and draws as the exact totals
+would.  A walk that reaches a total beyond the float range raises
+OverflowError; compute_weights still returns it exactly.
 
 Leaf weights are checked to be nonnegative reals before any sum is
 formed, so no sum can cancel.  Quantum states carry signed or complex
@@ -43,7 +47,8 @@ import math
 import random
 from bisect import bisect_right
 
-from .core import Diagram, Forest, Grouping
+from .core import Diagram, Forest, Grouping, _checked_diagram
+from .semifield import Pow2
 
 __all__ = [
     "SampleContext",
@@ -94,33 +99,36 @@ def measure_view(diagram: Diagram) -> Diagram:
     source's shape but not its normalization, so it is interned without
     a canonicity claim.  Its path weights are the squared magnitudes of
     the source's path weights, which is what measurement samples from.
+    Raises OverflowError when the squared factor leaves the float
+    range; measurement itself samples the view of the head only.
     """
     forest = diagram.forest
     cache = forest.cache("measure_view")
     key = ("diagram", id(diagram))
     hit = cache.get(key)
-    if hit is not None:
-        return hit
-    vf = measure_forest(forest)
-    sq = forest.field.abs2
+    if hit is None:
+        sq = forest.field.abs2
+        hit = cache[key] = _checked_diagram(
+            measure_forest(forest), sq(diagram.factor),
+            _view(forest, diagram.head), tuple(sq(v) for v in diagram.values))
+    return hit
 
-    def view(g):
-        got = cache.get(id(g))
-        if got is not None:
-            return got
+
+def _view(forest, g):
+    """measure_view of one grouping, tabled in ``measure_view``."""
+    cache = forest.cache("measure_view")
+    out = cache.get(id(g))
+    if out is None:
+        vf = measure_forest(forest)
         if g.level == 0:
+            sq = forest.field.abs2
             out = vf.leaf(sq(g.lw), sq(g.rw), g.number_of_exits)
         else:
-            out = vf.internal(view(g.a_connection),
-                              tuple(view(b) for b in g.b_connections),
+            out = vf.internal(_view(forest, g.a_connection),
+                              tuple(_view(forest, b) for b in g.b_connections),
                               g.b_return_tuples)
         cache[id(g)] = out
-        return out
-
-    result = vf.diagram(sq(diagram.factor), view(diagram.head),
-                        tuple(sq(v) for v in diagram.values))
-    cache[key] = result
-    return result
+    return out
 
 
 def sample_assignment(diagram: Diagram, ctx: SampleContext) -> str:
@@ -148,18 +156,26 @@ def sampler(diagram: Diagram):
 class _Row:
     """One exit of one grouping; see the module docstring."""
 
-    __slots__ = ("draws", "cumulative", "exp", "fixed", "spent")
+    __slots__ = ("draws", "cumulative", "exp", "bounds", "scale", "fixed",
+                 "spent")
 
-    def __init__(self, draws, cumulative, exp):
+    def __init__(self, draws, cumulative, exp, bounds, scale):
         self.draws = draws
         self.cumulative = cumulative
         self.exp = exp
+        self.bounds = bounds
+        self.scale = scale
         self.fixed = None
         self.spent = 0
 
 
-def _target_row(diagram):
-    """The row of the head exit leading to the unit-valued terminal."""
+def _target_row(diagram, view=False):
+    """The row of the head exit leading to the unit-valued terminal.
+
+    With ``view``, the row of that exit in measure_view(diagram), for
+    which the diagram's own factor is checked: the squared factor only
+    scales every path alike, and on a wide uniform state it underflows.
+    """
     forest = diagram.forest
     field = forest.field
     one_key = field._one_key
@@ -170,16 +186,23 @@ def _target_row(diagram):
             break
     if target is None or diagram.factor == field.zero:
         raise ValueError("total path weight is zero")
-    _require_nonneg(diagram.factor)
-    row = _rows(forest, diagram.head)[target]
+    head = diagram.head
+    if view:
+        head = _view(forest, head)
+        forest = measure_forest(forest)
+    else:
+        _require_nonneg(diagram.factor)
+    row = _rows(forest, head)[target]
     # Exact comparison: branch probabilities are ratios, so a total far
     # below the rounding key's resolution still defines a distribution.
-    if row.cumulative[-1] == field.zero:
+    if row.cumulative[-1] == forest.field.zero:
         raise ValueError("total path weight is zero")
     return row
 
 
 def _require_nonneg(w):
+    if isinstance(w, Pow2):  # always positive, and not comparable with 0
+        return
     if isinstance(w, complex):
         raise ValueError("sampling needs a real-weight view; "
                          "use measure_view first")
@@ -243,7 +266,7 @@ def _rows(forest, g):
         row = _row(field, exit_draws, cumulative, top)
         if running == field.zero:
             # No draw has weight: reaching this row raises.
-            row.draws = ()
+            row.bounds = ()
         elif len(exit_draws) == 1:
             a, b = exit_draws[0]
             if a.fixed is not None and b.fixed is not None:
@@ -255,13 +278,26 @@ def _rows(forest, g):
 
 
 def _row(field, draws, cumulative, exp):
-    """A row over ``cumulative``, float totals renormalized."""
+    """A row over ``cumulative``: float totals renormalized, exact ones
+    given float bounds, or none when a total is beyond the float range."""
     if isinstance(field.zero, float):
         shift = math.frexp(cumulative[-1])[1]
         if shift:
             cumulative = [math.ldexp(c, -shift) for c in cumulative]
             exp += shift
-    return _Row(draws, cumulative, exp)
+        return _Row(draws, cumulative, exp, cumulative, cumulative[-1])
+    try:
+        bounds = [_ceiling(c) for c in cumulative]
+        scale = float(cumulative[-1])
+    except (OverflowError, TypeError):  # too large, or a Pow2
+        bounds = scale = None
+    return _Row(draws, cumulative, exp, bounds, scale)
+
+
+def _ceiling(c):
+    """The smallest float at or above the exact value ``c``."""
+    f = float(c)
+    return f if f >= c else math.nextafter(f, math.inf)
 
 
 def _draw(row, rng):
@@ -278,13 +314,16 @@ def _walk(row, rng, out):
         if row.spent:
             rng.getrandbits(64 * row.spent)
         return
-    draws = row.draws
-    if not draws:
+    bounds = row.bounds
+    if not bounds:
+        if bounds is None:
+            raise OverflowError("a path-weight total is beyond the float "
+                                "range and cannot be sampled")
         raise ValueError("total path weight is zero")
-    cumulative = row.cumulative
-    # The first draw whose running total exceeds a uniform point.
-    point = rng.random() * cumulative[-1]
-    draw = draws[min(bisect_right(cumulative, point), len(draws) - 1)]
+    # The first draw whose running total exceeds a uniform point, which
+    # scales by the float total as random() * total does.
+    point = rng.random() * row.scale
+    draw = row.draws[min(bisect_right(bounds, point), len(bounds) - 1)]
     if type(draw) is str:
         out.append(draw)
     else:

@@ -3,7 +3,8 @@
 Prints ``label sha256`` for every artefact that a behaviour-preserving
 change must leave byte-identical: seeded operation results (dump, size,
 validate, unfold), the named families at levels 1-10 with their DOT
-export, circuit states, every controlled gate on 16 qubits, seeded
+export, circuit states, every gate on 16 qubits, three gates on 4096
+qubits, the ``gate_blocks`` and grouping counts of three circuits, seeded
 sample streams with their path totals and error messages, the float
 and complex canonical keys of edge and seeded values, and CLI output
 with ``time_s`` removed from bench rows.  Run it on two checkouts and
@@ -123,6 +124,11 @@ def circuits():
         "QFT-32": quantum.qft(32, 5),
         "BV-63": quantum.bernstein_vazirani(63, "10" * 31 + "1"),
         "GHZ-1024": quantum.ghz(1024),
+        "DJ-63-balanced": quantum.deutsch_jozsa(63, "110" * 21),
+        "DJ-63-constant": quantum.deutsch_jozsa(63, None),
+        "parsed-mixed": quantum.parse_circuit(
+            "# mixed\nX 5\nH 0\nh 3\nCNOT 0 9\nPHASE 0.25 3\n\n"
+            "CP 1.25 9 2\ncnot 11 4\nCP -0.5 1 7\nphase 3 11\nH 9\n", 12),
     }
     for label, circuit in states.items():
         state = wc.run_circuit(circuit)
@@ -139,6 +145,25 @@ def gates():
         emit(f"gate/{label}/16", "\n".join(
             wc.dump_diagram(quantum.build_gate(forest, make(a, b), 16))
             for a, b in pairs))
+    for label, make in (("H", lambda q: ("H", q)), ("X", lambda q: ("X", q)),
+                        ("PHASE-pi/3", lambda q: ("PHASE", math.pi / 3, q))):
+        emit(f"gate/{label}/16", "\n".join(
+            wc.dump_diagram(quantum.build_gate(forest, make(q), 16))
+            for q in range(16)))
+    for gate in (("CNOT", 0, 4095), ("CNOT", 2047, 2048),
+                 ("CP", math.pi / 5, 4095, 0)):
+        emit(f"gate/{'-'.join(map(str, gate))}/4096",
+             wc.dump_diagram(quantum.build_gate(forest, gate, 4096)))
+    # Table sizes on fresh forests: how many blocks and groupings the
+    # gate construction leaves behind.
+    for label, circuit in (("GHZ-256", quantum.ghz(256)),
+                           ("QFT-32", quantum.qft(32, 12345)),
+                           ("GHZ-4096", quantum.ghz(4096))):
+        forest = quantum.quantum_forest()
+        wc.run_circuit(circuit, forest)
+        stats = forest.stats()
+        emit(f"gate_blocks/{label}",
+             f"{stats['caches']['gate_blocks']} {stats['groupings']}")
 
 
 def samples():

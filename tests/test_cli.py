@@ -132,3 +132,15 @@ def test_negative_shot_and_sample_counts_are_errors(tmp_path):
     circuit.write_text("H 0\nCNOT 0 1\n")
     run_cli("run", str(circuit), "--shots", "-3", expect=2)
     run_cli("sample", "W_4", "--seed", "3", "--count", "-2", expect=2)
+
+
+def test_sampling_huge_rational_totals_is_an_error():
+    # EXP_32's weights are symbolic powers of two, which the sampler's
+    # sign check used to compare with 0: a TypeError traceback.
+    for family in ("EXP_16", "EXP_32"):
+        out = subprocess.run([sys.executable, "-m", "wcflobdd.cli", "sample",
+                              family, "--seed", "1"],
+                             capture_output=True, text=True)
+        assert out.returncode == 2, (family, out.stderr)
+        assert out.stderr.startswith("error:"), (family, out.stderr)
+        assert "Traceback" not in out.stderr

@@ -3,8 +3,11 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from wcflobdd.core import Forest, evaluate, validate
-from wcflobdd.construct import fold, hadamard_family, unfold, walsh_family
+from wcflobdd.construct import (fold, hadamard_family, scalar_multiply,
+                                unfold, walsh_family)
 from wcflobdd.pointwise import (add, collapse_classes_leftmost, multiply,
                                 pair_product, reduce, subtract,
                                 weighted_pair_product)
@@ -190,3 +193,16 @@ def test_cross_forest_operands_rejected():
         assert False
     except ValueError:
         pass
+
+
+def test_factor_out_of_float_range_raises():
+    # The factor of b * b is 1e400 and that of 1e300 * b is 1e500, both
+    # inf; b * b used to unfold to [inf, inf, inf, nan] and pass validate.
+    b = fold(FL, [1e200, 2e200, 3e200, 0.0])
+    for make in (lambda: multiply(b, b), lambda: scalar_multiply(1e300, b),
+                 lambda: add(fold(FL, [1.5e308, 0.0, 1.0, 0.0]),
+                             fold(FL, [1.5e308, 1.0, 0.0, 0.0]))):
+        with pytest.raises(OverflowError, match="out of float range"):
+            make()
+    assert unfold(multiply(b, fold(FL, [0.5, 1.0, 1.0, 1.0]))) == \
+        pytest.approx([5e199, 2e200, 3e200, 0.0])

@@ -5,6 +5,7 @@ import math
 import random
 
 import numpy as np
+import pytest
 
 from wcflobdd.core import size, validate
 from wcflobdd.construct import fold, identity_matrix, not_matrix, unfold
@@ -281,3 +282,67 @@ def test_negative_shot_count_is_rejected():
         assert False, "a negative shot count must raise"
     except ValueError:
         pass
+
+
+def test_gate_with_an_extra_qubit_is_rejected():
+    with pytest.raises(ValueError, match="H takes 0 angle"):
+        build_gate(quantum_forest(), ("H", 0, 1), 4)
+
+
+def test_gate_with_a_missing_qubit_is_rejected():
+    with pytest.raises(ValueError, match="CNOT takes 0 angle"):
+        build_gate(quantum_forest(), ("CNOT", 0), 4)
+
+
+def test_phase_without_its_qubit_is_rejected():
+    with pytest.raises(ValueError, match="PHASE takes 1 angle"):
+        build_gate(quantum_forest(), ("PHASE", 0.5), 4)
+
+
+def test_non_integer_qubits_are_rejected():
+    f = quantum_forest()
+    for gate in (("H", 1.5), ("H", True), ("CNOT", 0, False)):
+        with pytest.raises(ValueError, match="must be integers"):
+            build_gate(f, gate, 4)
+    with pytest.raises(ValueError, match="must be integers"):
+        Circuit(4).h(1.5)
+    # numpy integers are integers, and are stored as plain ints.
+    c = Circuit(4).cnot(np.int64(1), np.uint8(3))
+    assert c.gates == [("CNOT", 1, 3)] and type(c.gates[0][1]) is int
+    assert build_gate(f, ("H", np.int32(2)), 4) is build_gate(f, ("H", 2), 4)
+
+
+def test_non_finite_angles_are_rejected():
+    with pytest.raises(ValueError, match=r"line 2: angles \(nan,\) must be finite"):
+        parse_circuit("H 0\nPHASE nan 0\n")
+    f = quantum_forest()
+    for theta in (math.inf, -math.inf, math.nan, "0.5", 1j):
+        with pytest.raises(ValueError, match="must be finite numbers"):
+            build_gate(f, ("CP", theta, 0, 1), 2)
+    with pytest.raises(ValueError, match="must be finite numbers"):
+        Circuit(2).phase(math.nan, 0)
+
+
+def test_parse_errors_name_the_line():
+    cases = (("H 0\nCNOT 1 1\n", None, "line 2: CNOT control and target"),
+             ("X 1\n\nH 7\n", 4, "line 3: qubit 7 out of range"),
+             ("H -1\n", None, "line 1: qubit -1 out of range"),
+             ("# c\nH 0 1\n", None, "line 2: H takes 0 angle"),
+             ("CP 0.5 1\n", None, "line 1: CP takes 1 angle"),
+             ("SWAP 0 1\n", None, "line 1: cannot parse"))
+    for text, n, message in cases:
+        with pytest.raises(ValueError, match=message):
+            parse_circuit(text, n)
+    with pytest.raises(ValueError, match="empty circuit"):
+        parse_circuit("# nothing\n")
+
+
+def test_controlled_gate_is_its_block_among_identities():
+    # The block of CNOT(5, 6) on 16 qubits spans qubits 4-7; the gate is
+    # (I_4 (x) block) (x) I_8, and the same block is CNOT(1, 2) on 4.
+    f = quantum_forest()
+    block = build_gate(f, ("CNOT", 1, 2), 4)
+    want = kronecker(kronecker(identity_matrix(f, 3), block),
+                     identity_matrix(f, 4))
+    assert build_gate(f, ("CNOT", 5, 6), 16) is want
+

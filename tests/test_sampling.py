@@ -4,8 +4,11 @@ import functools
 import random
 from fractions import Fraction
 
+import pytest
+
 from wcflobdd.core import Forest, reachable_groupings
-from wcflobdd.construct import fold, hadamard_family, unfold, walsh_family
+from wcflobdd.construct import (exp_family, fold, hadamard_family, unfold,
+                                walsh_family)
 from wcflobdd.matrix import apply_matrix_to_vector
 from wcflobdd.quantum import (Circuit, bernstein_vazirani, ghz, measure, qft,
                               run_circuit)
@@ -268,3 +271,28 @@ def test_sampling_past_the_float_range():
             counts[pair] = counts.get(pair, 0) + count
     p = oracle.chi_square_p(counts, {"00": 0.5, "11": 0.5}, 120)
     assert p > 0.001, counts
+
+
+def test_measure_samples_a_wide_uniform_state():
+    # |f|^2 = 2^-1100 underflows to 0.0, so the view's factor is out of
+    # range; measure used to raise "total path weight is zero".
+    n = 1100
+    c = Circuit(n)
+    for q in range(n):
+        c.h(q)
+    state = run_circuit(c)
+    with pytest.raises(OverflowError, match="out of float range"):
+        measure_view(state.diagram)
+    counts = measure(state, 40, seed=1)
+    assert sum(counts.values()) == 40 and all(len(k) == n for k in counts)
+    ones = sum(c for k, c in counts.items() if k[0] == "1")
+    assert 8 <= ones <= 32, ones
+
+
+def test_rational_totals_beyond_float_range_raise_when_sampled():
+    # EXP_16's totals pass 2^1024; compute_weights keeps them exact.
+    d = exp_family(F, 16)
+    (total,) = compute_weights(F, d.head)
+    assert total == sum(Fraction(2) ** x for x in range(1 << 16))
+    with pytest.raises(OverflowError, match="beyond the float range"):
+        sample_assignment(d, SampleContext(1))
