@@ -24,13 +24,14 @@ levels.
 
 The named families (EXP, Walsh/Hadamard, identity, NOT) are built
 structurally rather than by folding, so they stay cheap at high
-levels; Walsh, identity and NOT fold only their 2x2 base and share one
-tower builder. Tests assert they coincide with folds where feasible.
+levels; Walsh, identity and NOT fold only their 2x2 base and are built
+level by level by ``Forest._tower``. Tests assert they coincide with
+folds where feasible.
 """
 
 from __future__ import annotations
 
-from .core import Diagram, Forest, _checked_diagram, collapse_rows
+from .core import Diagram, Forest, _checked_diagram, _one_middle, collapse_rows
 from .semifield import Pow2, RationalSemifield
 
 __all__ = [
@@ -64,7 +65,7 @@ def _fold(forest, weights, labels):
                           tuple((g, exits) for g, _, exits in blocks))
     exits, rts = collapse_rows([block_exits for _, block_exits in middles])
     g = forest.internal(a, [b for b, _ in middles], rts)
-    forest.mark_canonical(g)
+    g.canonical = True
     return g, w, exits
 
 
@@ -108,9 +109,9 @@ def unfold(diagram: Diagram):
                 yield rt[b_exit - 1], mul(a_weight, b_weight)
 
     def memo_paths(g):
-        hit = memo.get(id(g))
+        hit = memo.get(g)
         if hit is None:
-            hit = memo[id(g)] = tuple(paths(g))
+            hit = memo[g] = tuple(paths(g))
         return hit
 
     # The head's path list would be as long as the output, so it is
@@ -163,7 +164,7 @@ def exp_family(forest: Forest, n: int) -> Diagram:
                 a = proto(level - 1, place + (1 << (level - 1)))
                 b = proto(level - 1, place)
                 g = forest.internal(a, (b,), ((1,),))
-            forest.mark_canonical(g)
+            g.canonical = True
             memo[key] = g
         return g
 
@@ -172,35 +173,11 @@ def exp_family(forest: Forest, n: int) -> Diagram:
     return forest.diagram(field.one, head, (field.one,))
 
 
-def _tower(forest: Forest, name: str, level: int, cells, step):
-    """Head grouping of a family at ``level``, cached under ``name``.
-
-    The base level folds ``cells``, the names of its field constants in
-    assignment order (four at level 1, two at level 0). Each level above
-    wires the level below as ``step(below, zero proto)``, which returns
-    the B-connections and return tuples.
-    """
-    cache = forest.cache(name)
-    g = cache.get(level)
-    if g is None:
-        if 1 << (1 << level) == len(cells):
-            g = fold(forest, [getattr(forest.field, c) for c in cells]).head
-        else:
-            below = _tower(forest, name, level - 1, cells, step)
-            g = forest.internal(
-                below, *step(below, forest.zero_proto(level - 1)))
-        forest.mark_canonical(g)
-        cache[level] = g
-    return g
-
-
-_WALSH_CELLS = ("one", "one", "one", "minus_one")
-_IDENTITY_CELLS = ("one", "zero", "zero", "one")
-_NOT_CELLS = ("zero", "one", "one", "zero")
-
-
-def _walsh_step(below, zero):
-    return (below,), ((1,),)
+def _folded(*cells):
+    """Tower base: the head of the fold of ``cells``, the names of field
+    constants in assignment order (four at level 1, two at level 0)."""
+    return lambda forest: fold(
+        forest, [getattr(forest.field, c) for c in cells]).head
 
 
 def _identity_step(below, zero):
@@ -211,15 +188,18 @@ def _not_step(below, zero):
     return (zero, below), ((1,), (1, 2))
 
 
-def _walsh_proto(forest: Forest, level: int):
-    return _tower(forest, "walsh_proto", level, _WALSH_CELLS, _walsh_step)
+# Forest._tower specs of the named families' heads.
+_WALSH = ("walsh", 1, _folded("one", "one", "one", "minus_one"), _one_middle)
+_IDENTITY = ("identity", 1, _folded("one", "zero", "zero", "one"),
+             _identity_step)
+_NOT = ("not", 1, _folded("zero", "one", "one", "zero"), _not_step)
 
 
 def walsh_family(forest: Forest, l: int) -> Diagram:
     """Unnormalized Hadamard (entries +-1), exact in any instance."""
     if l < 1:
         raise ValueError("walsh_family needs level >= 1")
-    return forest.diagram(forest.field.one, _walsh_proto(forest, l),
+    return forest.diagram(forest.field.one, forest._tower(_WALSH, l),
                           (forest.field.one,))
 
 
@@ -239,7 +219,7 @@ def hadamard_family(forest: Forest, l: int) -> Diagram:
     factor = field.mul(field.one, 2 ** -0.5)
     for _ in range(l - 1):
         factor = field.mul(factor, factor)
-    return _checked_diagram(forest, factor, _walsh_proto(forest, l),
+    return _checked_diagram(forest, factor, forest._tower(_WALSH, l),
                             (field.one,))
 
 
@@ -254,8 +234,7 @@ def identity_matrix(forest: Forest, l: int) -> Diagram:
 
 def identity_proto(forest: Forest, level: int):
     """Head grouping of ``identity_matrix(forest, level)``."""
-    return _tower(forest, "identity_proto", level, _IDENTITY_CELLS,
-                  _identity_step)
+    return forest._tower(_IDENTITY, level)
 
 
 def not_matrix(forest: Forest, l: int) -> Diagram:
@@ -263,7 +242,5 @@ def not_matrix(forest: Forest, l: int) -> Diagram:
     if l < 1:
         raise ValueError("not_matrix needs level >= 1")
     field = forest.field
-    return forest.diagram(field.one,
-                          _tower(forest, "not_proto", l, _NOT_CELLS,
-                                 _not_step),
+    return forest.diagram(field.one, forest._tower(_NOT, l),
                           (field.zero, field.one))

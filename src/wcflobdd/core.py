@@ -13,6 +13,11 @@ equality is pointer equality. ``Forest.leaf`` and ``Forest.internal``
 are the two interning entry points; ``Forest.fork`` and
 ``Forest.dontcare`` name the two leaf exit counts.
 
+Groupings and diagrams hash by identity, and every unique and memo
+table keys on them, so each entry holds what it names.  A grouping's
+``canonical`` flag marks the output of a canonicalizing construction,
+which ``reduce`` may return as is; the towers sit in one forest table.
+
 Weights on level-0 edges and the top-level factor come from a
 semi-field instance owned by the forest. A value tuple assigns a
 terminal weight (0 or 1, all entries distinct) to each head exit, and
@@ -51,7 +56,7 @@ class StructureError(ValueError):
 
 
 class Grouping:
-    __slots__ = ()
+    __slots__ = ("canonical",)
 
     level = 0
     number_of_exits = 0
@@ -73,6 +78,7 @@ class LeafGrouping(Grouping):
         self.lw = lw
         self.rw = rw
         self.number_of_exits = number_of_exits
+        self.canonical = False
 
     def branch(self, bit):
         """(exit, weight) taken on one input bit."""
@@ -96,6 +102,7 @@ class InternalGrouping(Grouping):
         self.b_connections = b_connections
         self.b_return_tuples = b_return_tuples
         self.number_of_exits = number_of_exits
+        self.canonical = False
 
     def __repr__(self):
         return (f"Internal(level={self.level}, "
@@ -158,8 +165,19 @@ def _leaf_key(field, exits, lw, rw):
 
 
 def _internal_key(level, a_connection, b_connections, b_return_tuples):
-    return (level, id(a_connection), tuple(map(id, b_connections)),
-            b_return_tuples)
+    return (level, a_connection, b_connections, b_return_tuples)
+
+
+def _one_middle(below, zero):
+    """Tower step with a single middle: ``below`` again, one exit."""
+    return (below,), ((1,),)
+
+
+# The single-exit towers over the don't-care leaves (0, 1) and (1, 1).
+_ZERO_TOWER = ("zero", 0, lambda f: f.dontcare(f.field.zero, f.field.one),
+               _one_middle)
+_ONE_TOWER = ("one", 0, lambda f: f.dontcare(f.field.one, f.field.one),
+              _one_middle)
 
 
 class Forest:
@@ -169,17 +187,19 @@ class Forest:
     diagrams from different forests must not be mixed. Operation
     memo tables live in ``caches`` keyed by operation name and can be
     dropped wholesale without affecting canonicity (interning is what
-    makes handles unique; the caches only avoid recomputation).
+    makes handles unique; the caches only avoid recomputation).  The
+    tower table and ``measure_forest``, where measure_view puts squared
+    magnitudes (this forest unless complex), are not caches.
     """
 
     def __init__(self, field: Semifield):
         self.field = field
         self._grouping_table = {}
         self._diagram_table = {}
-        self._canonical_ids = set()
-        self._zero_protos = {}
-        self._one_protos = {}
+        self._tower_table = {}
         self.caches = {}
+        measure = field.measure_field()
+        self.measure_forest = self if measure is field else Forest(measure)
 
     # -- interning ---------------------------------------------------
 
@@ -190,8 +210,7 @@ class Forest:
         g = self._grouping_table.get(key)
         if g is None:
             g = self._grouping_table[key] = LeafGrouping(lw, rw, exits)
-            if f.is_one(lw) or (f.is_zero(lw) and f.is_one(rw)):
-                self._canonical_ids.add(id(g))
+            g.canonical = f.is_one(lw) or (f.is_zero(lw) and f.is_one(rw))
         return g
 
     def fork(self, lw, rw) -> LeafGrouping:
@@ -248,25 +267,12 @@ class Forest:
                 raise StructureError("value tuple entries must be 0 or 1")
         if len(set(vkeys)) != len(vkeys):
             raise StructureError("value tuple entries must be distinct")
-        tkey = (f.key(factor), id(head), vkeys)
+        tkey = (f.key(factor), head, vkeys)
         d = self._diagram_table.get(tkey)
         if d is None:
             d = Diagram(self, factor, head, values)
             self._diagram_table[tkey] = d
         return d
-
-    # -- canonicity witnesses ------------------------------------------
-
-    def mark_canonical(self, g: Grouping):
-        """Record that ``g`` was produced by a canonicalizing construction.
-
-        Purely an optimization hint consumed by Reduce's early exit;
-        an unmarked canonical grouping is rebuilt to the same handle.
-        """
-        self._canonical_ids.add(id(g))
-
-    def is_marked_canonical(self, g: Grouping) -> bool:
-        return id(g) in self._canonical_ids
 
     # -- memo tables ---------------------------------------------------
 
@@ -277,45 +283,54 @@ class Forest:
         return c
 
     def clear_caches(self):
-        """Drop all operation memo tables (unique tables are kept)."""
+        """Drop all operation memo tables (unique tables and towers stay)."""
         self.caches.clear()
 
     def stats(self) -> dict:
         """Entry counts of the unique tables and of each memo table.
 
         Returns ``{"groupings": n, "diagrams": n, "canonical_ids": n,
-        "caches": {name: entries}}`` with the memo tables by name.  It
-        reads only the tables' lengths; nothing is counted while the
-        forest works.
+        "caches": {name: entries}}`` with the memo tables by name, and
+        in ``canonical_ids`` the number of groupings flagged canonical.
+        Nothing is counted while the forest works: the call reads the
+        tables' lengths and counts the flags in one pass.
         """
         return {
             "groupings": len(self._grouping_table),
             "diagrams": len(self._diagram_table),
-            "canonical_ids": len(self._canonical_ids),
+            "canonical_ids": sum(g.canonical
+                                 for g in self._grouping_table.values()),
             "caches": {name: len(table)
                        for name, table in sorted(self.caches.items())},
         }
 
-    # -- constant protos -------------------------------------------------
+    # -- towers ------------------------------------------------------------
+
+    def _tower(self, spec, level: int) -> Grouping:
+        """Head grouping of a tower at ``level``, built once per forest.
+
+        ``spec`` is (name, lowest level, function from the forest to the
+        grouping there, step); each level above is ``internal(below,
+        *step(below, zero proto))``.  Keyed by (name, level), not a cache.
+        """
+        g = self._tower_table.get((spec[0], level))
+        if g is None:
+            name, bottom, base, step = spec
+            if level == bottom:
+                g = base(self)
+            else:
+                below = self._tower(spec, level - 1)
+                g = self.internal(
+                    below, *step(below, self.zero_proto(level - 1)))
+            g.canonical = True
+            self._tower_table[name, level] = g
+        return g
 
     def zero_proto(self, level: int) -> Grouping:
-        return self._constant_proto(level, self.field.zero, self._zero_protos)
+        return self._tower(_ZERO_TOWER, level)
 
     def one_proto(self, level: int) -> Grouping:
-        return self._constant_proto(level, self.field.one, self._one_protos)
-
-    def _constant_proto(self, level, lw, memo):
-        """Single-exit tower over the don't-care leaf (lw, 1)."""
-        g = memo.get(level)
-        if g is None:
-            if level == 0:
-                g = self.dontcare(lw, self.field.one)
-            else:
-                below = self._constant_proto(level - 1, lw, memo)
-                g = self.internal(below, (below,), ((1,),))
-            self.mark_canonical(g)
-            memo[level] = g
-        return g
+        return self._tower(_ONE_TOWER, level)
 
     def zero_diagram(self, level: int) -> Diagram:
         return self.diagram(self.field.zero, self.zero_proto(level),
@@ -482,9 +497,9 @@ def reachable_groupings(head: Grouping) -> list:
     order = []
 
     def walk(g):
-        if id(g) in seen:
+        if g in seen:
             return
-        seen.add(id(g))
+        seen.add(g)
         if g.level > 0:
             walk(g.a_connection)
             for b in g.b_connections:
@@ -535,7 +550,7 @@ def size(diagram: Diagram) -> SizeReport:
 
 def _path_kinds(field, g, memo):
     """Per exit: (has zero-weight path, has nonzero-weight path)."""
-    got = memo.get(id(g))
+    got = memo.get(g)
     if got is not None:
         return got
     if g.level == 0:
@@ -559,7 +574,7 @@ def _path_kinds(field, g, memo):
                 if anz and bnz:
                     nonzero[target - 1] = True
         kinds = tuple(zip(zero, nonzero))
-    memo[id(g)] = kinds
+    memo[g] = kinds
     return kinds
 
 

@@ -105,7 +105,7 @@ def kronecker(n1: Diagram, n2: Diagram) -> Diagram:
             cells.append(tuple(field.mul(v1, v2) for v2 in n2.values))
     values, rts = collapse_rows(cells, field.key)
     g = forest.internal(n1.head, bs, rts)
-    forest.mark_canonical(g)
+    g.canonical = True
     return _checked_diagram(forest, field.mul(n1.factor, n2.factor), g,
                             values)
 
@@ -175,7 +175,7 @@ def _mat_mult_groupings(forest, g1, g2):
         raise ValueError("operand levels must be equal or one apart")
     field = forest.field
     cache = forest.cache("matrix_mult")
-    key = (id(g1), id(g2))
+    key = (g1, g2)
     hit = cache.get(key)
     if hit is not None:
         return hit

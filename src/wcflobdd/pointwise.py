@@ -53,7 +53,7 @@ def reduce(forest, grouping, reduction, values):
     field = forest.field
     cache = forest.cache("reduce")
     value_keys = tuple(map(field.key, values))
-    key = (id(grouping), reduction, value_keys)
+    key = (grouping, reduction, value_keys)
     hit = cache.get(key)
     if hit is not None:
         # The same arguments passed the checks below when first seen.
@@ -72,7 +72,7 @@ def reduce(forest, grouping, reduction, values):
     elif (not zero
           and reduction == tuple(range(1, n + 1))
           and len(set(value_keys)) == 1
-          and forest.is_marked_canonical(grouping)):
+          and grouping.canonical):
         # Nothing to merge and a uniform nonzero value to factor
         # straight out (one key for all, not all zero).
         res = (grouping, values[0])
@@ -115,7 +115,7 @@ def _reduce_internal(forest, grouping, reduction, values):
     if a.number_of_exits != len(kept):
         raise StructureError("reduced A-connection lost middle classes")
     g = forest.internal(a, [h for h, _ in kept], [rt for _, rt in kept])
-    forest.mark_canonical(g)
+    g.canonical = True
     return g, w
 
 
@@ -130,7 +130,7 @@ def pair_product(forest, g1, g2):
     if g1.level != g2.level:
         raise ValueError("pair_product operands must share a level")
     cache = forest.cache("pair_product")
-    key = (id(g1), id(g2))
+    key = (g1, g2)
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -207,7 +207,7 @@ def weighted_pair_product(forest, g1, g2, p1, p2):
         raise ValueError("weighted_pair_product operands must share a level")
     field = forest.field
     cache = forest.cache("weighted_pair_product")
-    key = (id(g1), id(g2), field.key(p1), field.key(p2))
+    key = (g1, g2, field.key(p1), field.key(p2))
     hit = cache.get(key)
     if hit is not None:
         return hit

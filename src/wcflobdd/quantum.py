@@ -38,7 +38,7 @@ import math
 import operator
 
 from .core import Diagram, Forest, evaluate
-from .construct import (_identity_step, _tower, fold, hadamard_family,
+from .construct import (_folded, _identity_step, fold, hadamard_family,
                         identity_matrix, not_matrix, scalar_multiply)
 from .matrix import apply_matrix_to_vector, kronecker, matrix_multiply
 from .pointwise import add, subtract
@@ -69,13 +69,22 @@ def quantum_forest() -> Forest:
     return Forest(complex_field())
 
 
+def _integer(value, what):
+    """``value`` through ``operator.index``, but no bool, as _checked
+    takes qubits; anything else raises ValueError."""
+    if type(value) is not bool:
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} {value!r} must be an integer")
+
+
 def _padded(n: int) -> int:
-    if n < 1:
+    """The power of two at or above the qubit count ``n``; the one check."""
+    if _integer(n, "qubit count") < 1:
         raise ValueError("qubit count must be positive")
-    p = 1
-    while p < n:
-        p <<= 1
-    return p
+    return 1 << (n - 1).bit_length()
 
 
 def _level(p: int) -> int:
@@ -86,11 +95,13 @@ def _identity(forest, width):
     return identity_matrix(forest, _level(width))
 
 
+_ZERO_KET = ("zero_ket", 0, _folded("one", "zero"), _identity_step)
+
+
 def _zero_ket(forest, width):
     """|0...0> on ``width`` qubits, a power of two."""
     field = forest.field
-    head = _tower(forest, "zero_ket", _level(width) - 1, ("one", "zero"),
-                  _identity_step)
+    head = forest._tower(_ZERO_KET, _level(width) - 1)
     return forest.diagram(field.one, head, (field.one, field.zero))
 
 
@@ -166,8 +177,7 @@ class Circuit:
     """A gate list over n qubits; build with h/x/cnot/cp or parse_circuit."""
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("qubit count must be positive")
+        _padded(n)
         self.n = n
         self.gates = []
 
@@ -362,9 +372,10 @@ def measure(state: QuantumState, shots: int, seed: int):
     """Histogram of basis labels sampled from |amplitude|^2.
 
     Padding qubits are stripped from each draw; the result maps
-    n-character bit strings to counts.  Negative ``shots`` raise.
+    n-character bit strings to counts.  ``shots`` must be an integer,
+    and a negative one raises.
     """
-    if shots < 0:
+    if _integer(shots, "shot count") < 0:
         raise ValueError(f"shot count {shots} is negative")
     counts = {}
     if not shots:

@@ -53,7 +53,6 @@ from .semifield import Pow2
 __all__ = [
     "SampleContext",
     "compute_weights",
-    "measure_forest",
     "measure_view",
     "sample_assignment",
     "sampler",
@@ -81,21 +80,10 @@ def compute_weights(forest: Forest, grouping: Grouping):
     return tuple(_plain(row) for row in _rows(forest, grouping))
 
 
-def measure_forest(forest: Forest) -> Forest:
-    """The companion forest holding squared-magnitude views."""
-    cache = forest.cache("measure_view")
-    vf = cache.get("forest")
-    if vf is None:
-        measure = forest.field.measure_field()
-        vf = forest if measure is forest.field else Forest(measure)
-        cache["forest"] = vf
-    return vf
-
-
 def measure_view(diagram: Diagram) -> Diagram:
     """The diagram with every weight replaced by its squared magnitude.
 
-    The result lives in measure_forest(diagram.forest) and shares the
+    The result lives in diagram.forest.measure_forest and shares the
     source's shape but not its normalization, so it is interned without
     a canonicity claim.  Its path weights are the squared magnitudes of
     the source's path weights, which is what measurement samples from.
@@ -104,12 +92,11 @@ def measure_view(diagram: Diagram) -> Diagram:
     """
     forest = diagram.forest
     cache = forest.cache("measure_view")
-    key = ("diagram", id(diagram))
-    hit = cache.get(key)
+    hit = cache.get(diagram)
     if hit is None:
         sq = forest.field.abs2
-        hit = cache[key] = _checked_diagram(
-            measure_forest(forest), sq(diagram.factor),
+        hit = cache[diagram] = _checked_diagram(
+            forest.measure_forest, sq(diagram.factor),
             _view(forest, diagram.head), tuple(sq(v) for v in diagram.values))
     return hit
 
@@ -117,9 +104,9 @@ def measure_view(diagram: Diagram) -> Diagram:
 def _view(forest, g):
     """measure_view of one grouping, tabled in ``measure_view``."""
     cache = forest.cache("measure_view")
-    out = cache.get(id(g))
+    out = cache.get(g)
     if out is None:
-        vf = measure_forest(forest)
+        vf = forest.measure_forest
         if g.level == 0:
             sq = forest.field.abs2
             out = vf.leaf(sq(g.lw), sq(g.rw), g.number_of_exits)
@@ -127,7 +114,7 @@ def _view(forest, g):
             out = vf.internal(_view(forest, g.a_connection),
                               tuple(_view(forest, b) for b in g.b_connections),
                               g.b_return_tuples)
-        cache[id(g)] = out
+        cache[g] = out
     return out
 
 
@@ -189,7 +176,7 @@ def _target_row(diagram, view=False):
     head = diagram.head
     if view:
         head = _view(forest, head)
-        forest = measure_forest(forest)
+        forest = forest.measure_forest
     else:
         _require_nonneg(diagram.factor)
     row = _rows(forest, head)[target]
@@ -227,7 +214,7 @@ def _rows(forest, g):
     Internal draws come in middle order, then B-exit order.
     """
     cache = forest.cache("sample_cdf")
-    hit = cache.get(id(g))
+    hit = cache.get(g)
     if hit is not None:
         return hit
     field = forest.field
@@ -242,7 +229,7 @@ def _rows(forest, g):
         else:
             rows = (_row(field, ("0", "1"), [g.lw, field.add(g.lw, g.rw)],
                          0),)
-        cache[id(g)] = rows
+        cache[g] = rows
         return rows
     draws = [[] for _ in range(g.number_of_exits)]
     terms = [[] for _ in range(g.number_of_exits)]
@@ -273,7 +260,7 @@ def _rows(forest, g):
                 row.fixed = a.fixed + b.fixed
                 row.spent = 1 + a.spent + b.spent
         rows.append(row)
-    rows = cache[id(g)] = tuple(rows)
+    rows = cache[g] = tuple(rows)
     return rows
 
 

@@ -7,8 +7,8 @@ depth-first postorder that visits the A-connection before the
 B-connections, in middle order.  Rational weights round-trip exactly,
 including the 2^e shorthand; float and complex weights are written with
 repr precision, which Python reads back bit-identically.  Loaded groupings are interned
-but never marked canonical: the file is untrusted, and operations only
-lose a shortcut, not correctness, when the mark is absent.
+but never flagged canonical: the file is untrusted, and operations only
+lose a shortcut, not correctness, when the flag is absent.
 
 The DOT output draws one cluster per distinct grouping with entry,
 middle, and exit vertices, decision edges carrying weights at level 0
@@ -47,7 +47,7 @@ def dump_diagram(diagram: Diagram) -> str:
     """Serialize one diagram; see load_diagram for the inverse."""
     field = diagram.forest.field
     order = reachable_groupings(diagram.head)[::-1]
-    ids = {id(g): i for i, g in enumerate(order)}
+    ids = {g: i for i, g in enumerate(order)}
     lines = [f"{_FORMAT_NAME} {_FORMAT_VERSION} {field.name}"]
     for i, g in enumerate(order):
         if g.level == 0:
@@ -55,14 +55,14 @@ def dump_diagram(diagram: Diagram) -> str:
             lines.append(f"g {i} {kind} {_weight_text(field, g.lw)} "
                          f"{_weight_text(field, g.rw)}")
         else:
-            lines.append(f"g {i} internal {g.level} {ids[id(g.a_connection)]} "
+            lines.append(f"g {i} internal {g.level} {ids[g.a_connection]} "
                          f"{len(g.b_connections)}")
             for b, rt in zip(g.b_connections, g.b_return_tuples):
                 targets = ",".join(str(t) for t in rt)
-                lines.append(f"b {ids[id(b)]} {targets}")
+                lines.append(f"b {ids[b]} {targets}")
     values = " ".join(_weight_text(field, v) for v in diagram.values)
     lines.append(f"d {_weight_text(field, diagram.factor)} "
-                 f"{ids[id(diagram.head)]} {values}")
+                 f"{ids[diagram.head]} {values}")
     return "\n".join(lines) + "\n"
 
 
@@ -136,7 +136,7 @@ def export_dot(diagram: Diagram) -> str:
     """Graphviz text for a diagram; byte-stable for equal diagrams."""
     field = diagram.forest.field
     order = reachable_groupings(diagram.head)[::-1]
-    ids = {id(g): i for i, g in enumerate(order)}
+    ids = {g: i for i, g in enumerate(order)}
     out = ["digraph wcflobdd {", "  rankdir=TB;",
            "  node [shape=circle, fontsize=10];"]
     for i, g in enumerate(order):
@@ -162,19 +162,19 @@ def export_dot(diagram: Diagram) -> str:
     for i, g in enumerate(order):
         if g.level == 0:
             continue
-        a = ids[id(g.a_connection)]
+        a = ids[g.a_connection]
         out.append(f"  g{i}_entry -> g{a}_entry [label=\"A\", style=bold];")
         for m, _ in enumerate(g.b_connections, start=1):
             out.append(f"  g{a}_exit{m} -> g{i}_mid{m} [label=\"ret\"];")
         for m, (b, rt) in enumerate(zip(g.b_connections, g.b_return_tuples),
                                     start=1):
-            bid = ids[id(b)]
+            bid = ids[b]
             out.append(f"  g{i}_mid{m} -> g{bid}_entry "
                        f"[label=\"B{m}\", style=bold];")
             for j, target in enumerate(rt, start=1):
                 out.append(f"  g{bid}_exit{j} -> g{i}_exit{target} "
                            f"[label=\"ret m{m}\"];")
-    head = ids[id(diagram.head)]
+    head = ids[diagram.head]
     factor = _weight_text(field, diagram.factor)
     out.append(f"  free [shape=none, label=\"{factor}\"];")
     out.append(f"  free -> g{head}_entry;")

@@ -2,10 +2,12 @@
 
 Prints ``label sha256`` for every artefact that a behaviour-preserving
 change must leave byte-identical: seeded operation results (dump, size,
-validate, unfold), the named families at levels 1-10 with their DOT
-export, circuit states, every gate on 16 qubits, three gates on 4096
-qubits, the ``gate_blocks`` and grouping counts of three circuits, seeded
-sample streams with their path totals and error messages, the float
+validate, unfold) with the forest's grouping and diagram counts after
+each batch, the named families at levels 1-10 with their DOT export,
+circuit states, the dump positions of the groupings flagged canonical
+under each family and state, every gate on 16 qubits, three gates on
+4096 qubits, the ``gate_blocks`` and grouping counts of three circuits,
+seeded sample streams with their path totals and error messages, the float
 and complex canonical keys of edge and seeded values, and CLI output
 with ``time_s`` removed from bench rows.  Run it on two checkouts and
 ``diff`` the outputs:
@@ -36,6 +38,7 @@ sys.path.insert(0, os.path.abspath(SRC))
 
 import wcflobdd as wc  # noqa: E402
 from wcflobdd import cli, quantum  # noqa: E402
+from wcflobdd.core import reachable_groupings  # noqa: E402
 from wcflobdd.sampling import compute_weights  # noqa: E402
 
 INSTANCES = ("rational", "float", "complex")
@@ -75,6 +78,23 @@ def _describe(d, with_unfold=True):
     return "\n".join(parts)
 
 
+def _canonical(forest, d):
+    """Dump positions of the groupings under ``d`` flagged canonical."""
+    out = []
+    for i, g in enumerate(reachable_groupings(d.head)[::-1]):
+        flag = getattr(g, "canonical", None)
+        if flag is None:  # a tree that keeps the flags in a forest table
+            flag = forest.is_marked_canonical(g)
+        if flag:
+            out.append(str(i))
+    return " ".join(out)
+
+
+def _counts(forest):
+    stats = forest.stats()
+    return f"{stats['groupings']} {stats['diagrams']}"
+
+
 def operations():
     ops = (("multiply", wc.multiply), ("add", wc.add),
            ("subtract", wc.subtract), ("kronecker", wc.kronecker),
@@ -88,12 +108,14 @@ def operations():
                      for _ in range(9 if level < 3 else 4)]
             emit(f"fold/{instance}/L{level}",
                  "\n".join(_describe(a) + _describe(b) for a, b in pairs))
+            emit(f"counts/fold/{instance}/L{level}", _counts(forest))
             for name, op in ops:
                 texts = []
                 for a, b in pairs:
                     r = op(a, b)
                     texts.append(_describe(r, with_unfold=r.level <= 3))
                 emit(f"{name}/{instance}/L{level}", "\n".join(texts))
+                emit(f"counts/{name}/{instance}/L{level}", _counts(forest))
 
 
 def families():
@@ -103,6 +125,7 @@ def families():
         forest = wc.Forest(wc.field_by_name(instance))
         for name, build in builders:
             texts = []
+            flags = []
             for level in range(1, 11):
                 try:
                     d = build(forest, level)
@@ -111,11 +134,15 @@ def families():
                     continue
                 texts.append(_describe(d, with_unfold=False))
                 texts.append(wc.export_dot(d))
+                flags.append(_canonical(forest, d))
             emit(f"family/{name}/{instance}", "\n".join(texts))
+            emit(f"canonical/family/{name}/{instance}", "\n".join(flags))
     rational = wc.Forest(wc.field_by_name("rational"))
+    exps = [wc.exp_family(rational, 1 << k) for k in range(0, 9)]
     emit("family/EXP/rational",
-         "\n".join(_describe(wc.exp_family(rational, 1 << k),
-                             with_unfold=k <= 3) for k in range(0, 9)))
+         "\n".join(_describe(d, with_unfold=d.level <= 3) for d in exps))
+    emit("canonical/family/EXP/rational",
+         "\n".join(_canonical(rational, d) for d in exps))
 
 
 def circuits():
@@ -131,10 +158,13 @@ def circuits():
             "CP 1.25 9 2\ncnot 11 4\nCP -0.5 1 7\nphase 3 11\nH 9\n", 12),
     }
     for label, circuit in states.items():
-        state = wc.run_circuit(circuit)
-        emit(f"state/{label}", wc.dump_diagram(state.diagram))
+        state = wc.run_circuit(circuit).diagram
+        emit(f"state/{label}", wc.dump_diagram(state))
+        emit(f"canonical/state/{label}", _canonical(state.forest, state))
     state, iterations = quantum.grover(8, "10110010")
     emit("state/Grover-8", f"{iterations}\n" + wc.dump_diagram(state.diagram))
+    emit("canonical/state/Grover-8",
+         _canonical(state.diagram.forest, state.diagram))
 
 
 def gates():

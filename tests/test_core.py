@@ -208,4 +208,4 @@ def test_named_caches_clear_but_interning_survives():
     f.clear_caches()
     assert f.cache("scratch") == {}
     assert fold(f, [1, 2, 3, 5]) is d
-    assert f.is_marked_canonical(d.head)
+    assert d.head.canonical

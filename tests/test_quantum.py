@@ -7,9 +7,11 @@ import random
 import numpy as np
 import pytest
 
-from wcflobdd.core import size, validate
-from wcflobdd.construct import fold, identity_matrix, not_matrix, unfold
-from wcflobdd.matrix import kronecker
+from wcflobdd.core import Forest, size, validate
+from wcflobdd.construct import (fold, hadamard_family, identity_matrix,
+                                identity_proto, not_matrix, unfold,
+                                walsh_family)
+from wcflobdd.matrix import kronecker, matrix_multiply
 from wcflobdd.pointwise import add
 from wcflobdd.quantum import (Circuit, amplitude, basis_state,
                               bernstein_vazirani, build_gate, deutsch_jozsa,
@@ -282,6 +284,48 @@ def test_negative_shot_count_is_rejected():
         assert False, "a negative shot count must raise"
     except ValueError:
         pass
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Circuit(2.5),
+    lambda: Circuit(True),
+    lambda: parse_circuit("H 0\n", n=3.5),
+    lambda: measure(run_circuit(ghz(2)), 2.0, seed=1),
+], ids=["circuit-float", "circuit-bool", "parse-float-count",
+        "measure-float-shots"])
+def test_non_integer_counts_are_rejected(make):
+    with pytest.raises(ValueError, match="must be an integer"):
+        make()
+
+
+def test_towers_live_outside_the_memo_caches():
+    """The towers and the companion forest are not memo tables, so
+    clear_caches keeps them, and rebuilding a tower interns nothing."""
+    f = quantum_forest()
+    run_circuit(ghz(256), f)
+    run_circuit(qft(32, 12345), f)
+    matrix_multiply(hadamard_family(f, 2), hadamard_family(f, 2))
+    measure(run_circuit(ghz(8), f), 4, seed=1)
+    for name in ("walsh_proto", "identity_proto", "not_proto", "zero_ket"):
+        assert name not in f.caches
+    for table in f.caches.values():
+        assert not any(isinstance(v, Forest) for v in table.values())
+    towers = dict(f._tower_table)
+    assert {"zero", "walsh", "identity", "not", "zero_ket"} <= {
+        name for name, _ in towers}
+    groupings = f.stats()["groupings"]
+    f.clear_caches()
+    rebuild = {
+        "zero": f.zero_proto, "one": f.one_proto,
+        "walsh": lambda level: walsh_family(f, level).head,
+        "identity": lambda level: identity_proto(f, level),
+        "not": lambda level: not_matrix(f, level).head,
+        "zero_ket": lambda level: basis_state(f, [0] * (1 << level)).head,
+    }
+    for (name, level), head in towers.items():
+        assert rebuild[name](level) is head, (name, level)
+        assert head.canonical
+    assert f.stats()["groupings"] == groupings
 
 
 def test_gate_with_an_extra_qubit_is_rejected():

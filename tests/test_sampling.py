@@ -10,6 +10,7 @@ from wcflobdd.core import Forest, reachable_groupings
 from wcflobdd.construct import (exp_family, fold, hadamard_family, unfold,
                                 walsh_family)
 from wcflobdd.matrix import apply_matrix_to_vector
+from wcflobdd.pointwise import add
 from wcflobdd.quantum import (Circuit, bernstein_vazirani, ghz, measure, qft,
                               run_circuit)
 from wcflobdd.sampling import (SampleContext, compute_weights, measure_view,
@@ -59,6 +60,18 @@ def test_measure_view_squares_entries():
 
     w = walsh_family(F, 1)
     assert unfold(measure_view(w)) == [ONE] * 4
+
+
+def test_measure_views_survive_clear_caches():
+    d = run_circuit(ghz(8)).diagram
+    before = measure_view(d)
+    d.forest.clear_caches()
+    after = measure_view(d)
+    assert after is before
+    total = add(before, after)
+    assert total.forest is before.forest
+    assert all(abs(t - 2 * v) < 1e-12
+               for t, v in zip(unfold(total), unfold(before)))
 
 
 def test_measure_view_complex_lands_in_reals():
