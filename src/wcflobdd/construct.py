@@ -31,7 +31,8 @@ folds where feasible.
 
 from __future__ import annotations
 
-from .core import Diagram, Forest, _checked_diagram, _one_middle, collapse_rows
+from .core import (Diagram, Forest, _checked_diagram, _one_middle,
+                   collapse_rows, is_zero_diagram)
 from .semifield import Pow2, RationalSemifield
 
 __all__ = [
@@ -125,7 +126,7 @@ def scalar_multiply(scalar, diagram: Diagram) -> Diagram:
     """Diagram of scalar * f, canonical when the input is."""
     forest = diagram.forest
     field = forest.field
-    if field.is_zero(scalar) or field.is_zero(diagram.factor):
+    if field.is_zero(scalar) or is_zero_diagram(diagram):
         return forest.zero_diagram(diagram.level)
     return _checked_diagram(forest, field.mul(scalar, diagram.factor),
                             diagram.head, diagram.values)
@@ -139,7 +140,7 @@ def _exp_leaf_weight(field, place: int):
         return Pow2.make(1 << place)
     # Floating instances overflow past place 9; the error surfaces
     # rather than folding distinct leaves into a shared inf.
-    return field.parse("2") ** (1 << place)
+    return field.add(field.one, field.one) ** (1 << place)
 
 
 def exp_family(forest: Forest, n: int) -> Diagram:

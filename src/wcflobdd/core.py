@@ -130,7 +130,7 @@ class Diagram:
 
     def __repr__(self):
         f = self.forest.field
-        vals = ",".join(f.format(v) for v in self.values)
+        vals = " ".join(f.format(v) for v in self.values)
         return (f"Diagram(level={self.level}, factor={f.format(self.factor)}, "
                 f"values=[{vals}])")
 
@@ -311,7 +311,8 @@ class Forest:
 
         ``spec`` is (name, lowest level, function from the forest to the
         grouping there, step); each level above is ``internal(below,
-        *step(below, zero proto))``.  Keyed by (name, level), not a cache.
+        *step(below, zero proto))``, and a one-level tower has no step.
+        Keyed by (name, level), not a cache.
         """
         g = self._tower_table.get((spec[0], level))
         if g is None:

@@ -24,8 +24,9 @@ pairs to nonzero coefficients; the empty dict is the zero polynomial.
 
 from .core import (Diagram, StructureError, _checked_diagram,
                    collapse_classes_leftmost, collapse_rows, is_zero_diagram)
-from .construct import identity_matrix, identity_proto
-from .pointwise import _common_forest, reduce, weighted_pair_product
+from .construct import _fold, identity_matrix, identity_proto
+from .pointwise import (_common_forest, finish, reduce,
+                        weighted_pair_product)
 
 __all__ = [
     "apply_matrix_to_vector",
@@ -150,11 +151,7 @@ def _product(forest, n1, n2):
             total = field.add(total, field.mul(
                 coeff, field.mul(n1.values[e1 - 1], n2.values[e2 - 1])))
         v.append(total)
-    pattern = tuple(field.zero if field.is_zero(x) else field.one for x in v)
-    projected, rho = collapse_classes_leftmost(pattern)
-    reduced, fw = reduce(forest, g, rho, tuple(v))
-    factor = field.mul(field.mul(w, fw), field.mul(n1.factor, n2.factor))
-    return _checked_diagram(forest, factor, reduced, projected)
+    return finish(forest, g, v, w, field.mul(n1.factor, n2.factor))
 
 
 def _mat_mult_groupings(forest, g1, g2):
@@ -221,22 +218,11 @@ def _mat_mult_base(forest, g1, g2):
                 if not field.is_zero(coeff):
                     bp = bp_add(field, bp, {(e1, e2): coeff})
             bps.append(bp)
-    # Group equal cells, then build the placeholder grouping that
-    # realizes that cell partition with unit weights.
+    # Group equal cells; the fold of unit weights labelled by cell class
+    # is the placeholder grouping that realizes that partition.
     reps, renumbered = _collapse_bps(field, bps)
     one = field.one
-    if not g2.level:
-        return (forest.leaf(one, one, len(reps)), reps, one)
-    rows = []
-    for r in (0, 1):
-        left, right = renumbered[2 * r], renumbered[2 * r + 1]
-        rt = (left,) if left == right else (left, right)
-        rows.append((forest.leaf(one, one, len(rt)), rt))
-    # The A-connection has one exit per distinct row.
-    middles, _ = collapse_classes_leftmost(rows)
-    a = forest.leaf(one, one, len(middles))
-    g = forest.internal(a, [b for b, _ in middles], [rt for _, rt in middles])
-    return (g, reps, one)
+    return (_fold(forest, [one] * len(bps), renumbered)[0], reps, one)
 
 
 def _cells(forest, g):

@@ -4,10 +4,10 @@ Both operations follow the same recipe: walk the two operand heads in
 lockstep to build a cross-product grouping whose exits are pairs of
 operand exits (``pair_product`` for multiplication, the weight-carrying
 ``weighted_pair_product`` for addition), combine the operand values at
-each pair exit, then call ``reduce`` to merge exits that became
-indistinguishable and to push the combined values back into edge
-weights.  ``reduce`` is where canonicity is restored: its output is
-interned and satisfies the same normalization ``fold`` produces.
+each pair exit, then ``finish``: merge zero exits and nonzero exits,
+and call ``reduce`` to push the combined values back into edge weights.
+``reduce`` is where canonicity is restored: its output is interned and
+satisfies the same normalization ``fold`` produces.
 
 The cross-product intermediates are ordinary interned groupings but are
 not themselves canonical (they may carry duplicate middles and
@@ -186,10 +186,7 @@ def multiply(n1: Diagram, n2: Diagram) -> Diagram:
     g, pt = pair_product(forest, n1.head, n2.head)
     deduced = tuple(field.mul(n1.values[i1 - 1], n2.values[i2 - 1])
                     for i1, i2 in pt)
-    reps, rho = collapse_classes_leftmost(deduced, field.key)
-    reduced, w = reduce(forest, g, rho, deduced)
-    factor = field.mul(w, field.mul(n1.factor, n2.factor))
-    return _checked_diagram(forest, factor, reduced, reps)
+    return finish(forest, g, deduced, field.mul(n1.factor, n2.factor))
 
 
 def weighted_pair_product(forest, g1, g2, p1, p2):
@@ -271,14 +268,25 @@ def add(n1: Diagram, n2: Diagram) -> Diagram:
     deduced = tuple(field.add(field.mul(q1, n1.values[i1 - 1]),
                               field.mul(q2, n2.values[i2 - 1]))
                     for (q1, i1), (q2, i2) in pt)
-    # Exits merge when their sums agree up to a scalar that reduce can
-    # push into weights, which for the 0/1 value alphabet means exactly:
-    # zero sums together, nonzero sums together.
+    return finish(forest, g, deduced)
+
+
+def finish(forest, g, values, *scales) -> Diagram:
+    """The one result step of ``multiply``, ``add`` and the matrix product.
+
+    Exits of ``g`` merge when their ``values`` agree up to a scalar that
+    ``reduce`` pushes into weights, which for the 0/1 value alphabet
+    means: zero values together, nonzero values together.  The factor is
+    reduce's weight times each of ``scales`` in turn, interned checked.
+    """
+    field = forest.field
     pattern = tuple(field.zero if field.is_zero(v) else field.one
-                    for v in deduced)
+                    for v in values)
     projected, rho = collapse_classes_leftmost(pattern)
-    reduced, w = reduce(forest, g, rho, deduced)
-    return _checked_diagram(forest, w, reduced, projected)
+    reduced, factor = reduce(forest, g, rho, values)
+    for scale in scales:
+        factor = field.mul(factor, scale)
+    return _checked_diagram(forest, factor, reduced, projected)
 
 
 def subtract(n1: Diagram, n2: Diagram) -> Diagram:

@@ -17,8 +17,8 @@ qubits wide, where it is the projection sum
 
 with a and b counted from the block's first qubit.  Since
 (A (x) I) + (B (x) I) = (A + B) (x) I, canonicity gives the same handle
-as the sum over the whole register.  The projectors are folded once per
-forest into its ``gate_factors`` table.
+as the sum over the whole register.  The projectors are level-1 towers
+of the forest, folded once each.
 
 _kron_segment alone places blocks among identities, with a balanced
 Kronecker tree, so a gate on P qubits touches O(log P) fresh groupings.
@@ -96,6 +96,10 @@ def _identity(forest, width):
 
 
 _ZERO_KET = ("zero_ket", 0, _folded("one", "zero"), _identity_step)
+# |0><0| and |1><1|, towers of one level, so with no step.
+_PROJECTORS = (
+    ("projector0", 1, _folded("one", "zero", "zero", "zero"), None),
+    ("projector1", 1, _folded("zero", "zero", "zero", "one"), None))
 
 
 def _zero_ket(forest, width):
@@ -243,15 +247,10 @@ def parse_circuit(text: str, n: int | None = None) -> Circuit:
 
 
 def _projector(forest, bit):
-    """The one-qubit projector |bit><bit|, folded once per forest."""
-    factors = forest.cache("gate_factors")
-    hit = factors.get(bit)
-    if hit is None:
-        field = forest.field
-        cells = [field.zero] * 4
-        cells[3 * bit] = field.one
-        hit = factors[bit] = fold(forest, cells)
-    return hit
+    """The one-qubit projector |bit><bit|, a tower of the forest."""
+    one, zero = forest.field.one, forest.field.zero
+    return forest.diagram(one, forest._tower(_PROJECTORS[bit], 1),
+                          (zero, one) if bit else (one, zero))
 
 
 def _kron_segment(forest, width, specials, default=_identity, span=1):

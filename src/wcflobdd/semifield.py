@@ -11,6 +11,11 @@ on, so ordinary fields qualify. Three instances are provided:
 * floating-point reals;
 * floating-point complex numbers, used by the quantum layer.
 
+Each instance owns the weight text of dumps and DOT output: ``format``
+writes ``p/q`` (``2^e`` for a huge power of two), a ``repr`` real or
+``re,im`` with ``repr`` parts, which ``parse`` reads back bit-identically
+and, on a floating instance, rejects with ValueError when not finite.
+
 Floating instances use a rounded *canonical key* for hashing and
 equality so that values differing only by accumulated rounding noise
 intern to the same node. A key rounds to a fixed number of decimal
@@ -25,7 +30,6 @@ from __future__ import annotations
 import cmath
 import math
 import os
-import re
 from fractions import Fraction
 
 __all__ = [
@@ -92,6 +96,14 @@ def _log2_exact(f: Fraction):
     if p == 1 and q & (q - 1) == 0:
         return 1 - q.bit_length()
     return None
+
+
+def _finite(text: str) -> float:
+    """The float ``text`` writes; ValueError unless it is finite."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"weight {text!r} is not finite")
+    return x
 
 
 def _digits(rounding_digits) -> int:
@@ -304,7 +316,7 @@ class RealSemifield(Semifield):
         return float(a) * float(a)
 
     def parse(self, text: str):
-        return float(text)
+        return _finite(text)
 
     def format(self, a) -> str:
         return repr(float(a))
@@ -313,18 +325,8 @@ class RealSemifield(Semifield):
         return "%.*g" % (self.rounding_digits, float(a))
 
 
-_COMPLEX_RE = re.compile(
-    r"""^\s*
-        (?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?
-        (?P<im>[+-](?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)?
-        (?P<i>i)?
-        \s*$""",
-    re.VERBOSE,
-)
-
-
 class ComplexSemifield(Semifield):
-    """Floating-point complex numbers, written ``a+bi``."""
+    """Floating-point complex numbers, written ``re,im``."""
 
     name = "complex"
 
@@ -361,33 +363,12 @@ class ComplexSemifield(Semifield):
         return real_field(self.rounding_digits)
 
     def parse(self, text: str):
-        t = text.strip().replace(" ", "")
-        if t in ("i", "+i"):
-            return complex(0, 1)
-        if t == "-i":
-            return complex(0, -1)
-        if t.endswith("i"):
-            m = _COMPLEX_RE.match(t)
-            if m is None or m.group("i") is None:
-                raise ValueError(f"bad complex literal: {text!r}")
-            re_part = m.group("re")
-            im_part = m.group("im")
-            if im_part is None:
-                # pure imaginary, e.g. "2i" or "-3.5i"
-                return complex(0.0, float(re_part))
-            if im_part in ("+", "-"):
-                im_part += "1"
-            return complex(float(re_part or 0.0), float(im_part))
-        return complex(float(t), 0.0)
+        re_part, im_part = map(_finite, text.split(","))
+        return complex(re_part, im_part)
 
     def format(self, a) -> str:
         c = complex(a)
-        if c.imag == 0:
-            return repr(c.real)
-        if c.real == 0:
-            return f"{c.imag!r}i"
-        sign = "+" if c.imag >= 0 else ""
-        return f"{c.real!r}{sign}{c.imag!r}i"
+        return f"{c.real!r},{c.imag!r}"
 
     def format_rounded(self, a) -> str:
         c = complex(a)

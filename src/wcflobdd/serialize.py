@@ -4,11 +4,13 @@ The dump is a line format, one grouping per record in dependency order
 (children always precede their parents), so the loader can intern
 bottom-up.  The order is ``core.reachable_groupings`` reversed: a
 depth-first postorder that visits the A-connection before the
-B-connections, in middle order.  Rational weights round-trip exactly,
-including the 2^e shorthand; float and complex weights are written with
-repr precision, which Python reads back bit-identically.  Loaded groupings are interned
-but never flagged canonical: the file is untrusted, and operations only
-lose a shortcut, not correctness, when the flag is absent.
+B-connections, in middle order.  Weights are written and read by the
+forest's semi-field (``format`` and ``parse``), so every weight
+round-trips bit-identically, and a float or complex weight that is inf
+or nan is rejected with the line that holds it.  Loaded groupings are
+interned but never flagged canonical: the file is untrusted, and
+operations only lose a shortcut, not correctness, when the flag is
+absent.
 
 The DOT output draws one cluster per distinct grouping with entry,
 middle, and exit vertices, decision edges carrying weights at level 0
@@ -25,24 +27,6 @@ _FORMAT_NAME = "wcflobdd"
 _FORMAT_VERSION = 1
 
 
-def _weight_text(field, w):
-    if field.name == "rational":
-        return field.format(w)
-    if field.name == "real":
-        return repr(float(w))
-    c = complex(w)
-    return f"{c.real!r},{c.imag!r}"
-
-
-def _weight_value(field, text):
-    if field.name == "rational":
-        return field.parse(text)
-    if field.name == "real":
-        return float(text)
-    re_part, im_part = text.split(",")
-    return complex(float(re_part), float(im_part))
-
-
 def dump_diagram(diagram: Diagram) -> str:
     """Serialize one diagram; see load_diagram for the inverse."""
     field = diagram.forest.field
@@ -52,16 +36,16 @@ def dump_diagram(diagram: Diagram) -> str:
     for i, g in enumerate(order):
         if g.level == 0:
             kind = "dontcare" if g.number_of_exits == 1 else "fork"
-            lines.append(f"g {i} {kind} {_weight_text(field, g.lw)} "
-                         f"{_weight_text(field, g.rw)}")
+            lines.append(f"g {i} {kind} {field.format(g.lw)} "
+                         f"{field.format(g.rw)}")
         else:
             lines.append(f"g {i} internal {g.level} {ids[g.a_connection]} "
                          f"{len(g.b_connections)}")
             for b, rt in zip(g.b_connections, g.b_return_tuples):
                 targets = ",".join(str(t) for t in rt)
                 lines.append(f"b {ids[b]} {targets}")
-    values = " ".join(_weight_text(field, v) for v in diagram.values)
-    lines.append(f"d {_weight_text(field, diagram.factor)} "
+    values = " ".join(field.format(v) for v in diagram.values)
+    lines.append(f"d {field.format(diagram.factor)} "
                  f"{ids[diagram.head]} {values}")
     return "\n".join(lines) + "\n"
 
@@ -95,10 +79,9 @@ def load_diagram(text: str, forest: Forest | None = None) -> Diagram:
         try:
             if parts[0] == "g" and parts[2] in ("fork", "dontcare"):
                 gid, kind = int(parts[1]), parts[2]
-                lw = _weight_value(field, parts[3])
-                rw = _weight_value(field, parts[4])
                 exits = 1 if kind == "dontcare" else 2
-                groupings[gid] = forest.leaf(lw, rw, exits)
+                groupings[gid] = forest.leaf(field.parse(parts[3]),
+                                             field.parse(parts[4]), exits)
                 i += 1
             elif parts[0] == "g" and parts[2] == "internal":
                 gid, level = int(parts[1]), int(parts[3])
@@ -118,10 +101,9 @@ def load_diagram(text: str, forest: Forest | None = None) -> Diagram:
                 groupings[gid] = g
                 i += 1 + count
             elif parts[0] == "d":
-                factor = _weight_value(field, parts[1])
-                head = groupings[int(parts[2])]
-                values = tuple(_weight_value(field, t) for t in parts[3:])
-                diagram = forest.diagram(factor, head, values)
+                diagram = forest.diagram(
+                    field.parse(parts[1]), groupings[int(parts[2])],
+                    tuple(field.parse(t) for t in parts[3:]))
                 i += 1
             else:
                 raise ValueError("unknown record")
@@ -147,11 +129,10 @@ def export_dot(diagram: Diagram) -> str:
             for k in range(1, g.number_of_exits + 1):
                 out.append(f"    g{i}_exit{k} [label=\"exit {k}\", "
                            f"shape=doublecircle];")
-            lw = _weight_text(field, g.lw)
-            rw = _weight_text(field, g.rw)
-            out.append(f"    g{i}_entry -> g{i}_exit1 [label=\"0/{lw}\"];")
+            out.append(f"    g{i}_entry -> g{i}_exit1 "
+                       f"[label=\"0/{field.format(g.lw)}\"];")
             out.append(f"    g{i}_entry -> g{i}_exit{g.number_of_exits} "
-                       f"[label=\"1/{rw}\"];")
+                       f"[label=\"1/{field.format(g.rw)}\"];")
         else:
             for m in range(1, len(g.b_connections) + 1):
                 out.append(f"    g{i}_mid{m} [label=\"mid {m}\"];")
@@ -175,12 +156,11 @@ def export_dot(diagram: Diagram) -> str:
                 out.append(f"  g{bid}_exit{j} -> g{i}_exit{target} "
                            f"[label=\"ret m{m}\"];")
     head = ids[diagram.head]
-    factor = _weight_text(field, diagram.factor)
-    out.append(f"  free [shape=none, label=\"{factor}\"];")
+    out.append(f"  free [shape=none, "
+               f"label=\"{field.format(diagram.factor)}\"];")
     out.append(f"  free -> g{head}_entry;")
     for k, v in enumerate(diagram.values, start=1):
-        label = _weight_text(field, v)
-        out.append(f"  term{k} [shape=box, label=\"{label}\"];")
+        out.append(f"  term{k} [shape=box, label=\"{field.format(v)}\"];")
         out.append(f"  g{head}_exit{k} -> term{k};")
     out.append("}")
     return "\n".join(out) + "\n"

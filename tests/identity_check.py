@@ -5,7 +5,8 @@ change must leave byte-identical: seeded operation results (dump, size,
 validate, unfold) with the forest's grouping and diagram counts after
 each batch, the named families at levels 1-10 with their DOT export,
 circuit states, the dump positions of the groupings flagged canonical
-under each family and state, every gate on 16 qubits, three gates on
+under each family and state, each family and state dump loaded into a
+fresh forest and dumped again, every gate on 16 qubits, three gates on
 4096 qubits, the ``gate_blocks`` and grouping counts of three circuits,
 seeded sample streams with their path totals and error messages, the float
 and complex canonical keys of edge and seeded values, and CLI output
@@ -90,6 +91,11 @@ def _canonical(forest, d):
     return " ".join(out)
 
 
+def _reload(d):
+    """The dump of ``d`` loaded back into a fresh forest and dumped again."""
+    return wc.dump_diagram(wc.load_diagram(wc.dump_diagram(d)))
+
+
 def _counts(forest):
     stats = forest.stats()
     return f"{stats['groupings']} {stats['diagrams']}"
@@ -126,6 +132,7 @@ def families():
         for name, build in builders:
             texts = []
             flags = []
+            reloads = []
             for level in range(1, 11):
                 try:
                     d = build(forest, level)
@@ -135,14 +142,17 @@ def families():
                 texts.append(_describe(d, with_unfold=False))
                 texts.append(wc.export_dot(d))
                 flags.append(_canonical(forest, d))
+                reloads.append(_reload(d))
             emit(f"family/{name}/{instance}", "\n".join(texts))
             emit(f"canonical/family/{name}/{instance}", "\n".join(flags))
+            emit(f"reload/family/{name}/{instance}", "\n".join(reloads))
     rational = wc.Forest(wc.field_by_name("rational"))
     exps = [wc.exp_family(rational, 1 << k) for k in range(0, 9)]
     emit("family/EXP/rational",
          "\n".join(_describe(d, with_unfold=d.level <= 3) for d in exps))
     emit("canonical/family/EXP/rational",
          "\n".join(_canonical(rational, d) for d in exps))
+    emit("reload/family/EXP/rational", "\n".join(map(_reload, exps)))
 
 
 def circuits():
@@ -161,10 +171,12 @@ def circuits():
         state = wc.run_circuit(circuit).diagram
         emit(f"state/{label}", wc.dump_diagram(state))
         emit(f"canonical/state/{label}", _canonical(state.forest, state))
+        emit(f"reload/state/{label}", _reload(state))
     state, iterations = quantum.grover(8, "10110010")
     emit("state/Grover-8", f"{iterations}\n" + wc.dump_diagram(state.diagram))
     emit("canonical/state/Grover-8",
          _canonical(state.diagram.forest, state.diagram))
+    emit("reload/state/Grover-8", _reload(state.diagram))
 
 
 def gates():

@@ -6,10 +6,12 @@ is one ``is`` comparison, and the result must also pass ``validate``.
 """
 
 import math
+import random
 
 import pytest
 
 from wcflobdd.core import validate
+from wcflobdd.matrix import matrix_multiply
 from wcflobdd.quantum import (Circuit, build_gate, ghz, qft, quantum_forest,
                               run_circuit)
 
@@ -63,3 +65,84 @@ def test_x_as_h_phase_h_inside_a_circuit(n):
 
     _same_state(circuit(lambda c, q: c.h(q).phase(math.pi, q).h(q)),
                 circuit(lambda c, q: c.x(q)))
+
+
+def _random_circuit(n, seed, kinds, count=40):
+    """``count`` seeded gates of ``kinds`` over eight qubits spread across
+    the register, so that the gates meet each other."""
+    rng = random.Random(seed)
+    qubits = rng.sample(range(n), 8)
+    gates = []
+    for _ in range(count):
+        kind = rng.choice(kinds)
+        angles = (rng.uniform(-math.pi, math.pi),) if kind in ("PHASE",
+                                                               "CP") else ()
+        width = 2 if kind in ("CNOT", "CP") else 1
+        gates.append((kind, *angles, *rng.sample(qubits, width)))
+    return gates
+
+
+def _qubits(gate):
+    return {q for q in gate[1:] if isinstance(q, int)}
+
+
+def _swap_disjoint_neighbours(gates):
+    """The gate list with each adjacent pair on disjoint qubits swapped,
+    pairs taken left to right without overlap; also the swap count."""
+    out = list(gates)
+    swaps = 0
+    i = 0
+    while i + 1 < len(out):
+        if _qubits(out[i]).isdisjoint(_qubits(out[i + 1])):
+            out[i], out[i + 1] = out[i + 1], out[i]
+            swaps += 1
+            i += 2
+        else:
+            i += 1
+    return out, swaps
+
+
+def _circuit(n, gates):
+    c = Circuit(n)
+    for kind, *args in gates:
+        getattr(c, kind.lower())(*args)
+    return c
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n", [256, 1024])
+def test_random_circuit_with_commuting_gates_swapped(n, seed):
+    gates = _random_circuit(n, seed, ("H", "X", "PHASE", "CNOT", "CP"))
+    swapped, swaps = _swap_disjoint_neighbours(gates)
+    assert swaps >= 5
+    _same_state(_circuit(n, swapped), _circuit(n, gates))
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_swap_as_three_cnots_in_either_orientation(n):
+    a, b = 5, n - 7
+
+    def swap(first, second):
+        c = Circuit(n).h(a).phase(0.4, a).cnot(a, 9).h(b).x(n - 1)
+        c.cp(1.1, b, n - 1)
+        return c.cnot(first, second).cnot(second, first).cnot(first, second)
+
+    _same_state(swap(b, a), swap(a, b))
+
+
+def _unitary(f, n, gates):
+    u = build_gate(f, gates[0], n)
+    for gate in gates[1:]:
+        u = matrix_multiply(build_gate(f, gate, n), u)
+    return u
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_unitary_with_commuting_gates_swapped(n):
+    gates = _random_circuit(n, 7, ("H", "X", "CNOT"))
+    swapped, swaps = _swap_disjoint_neighbours(gates)
+    assert swaps >= 5
+    f = quantum_forest()
+    u = _unitary(f, n, gates)
+    assert _unitary(f, n, swapped) is u
+    assert validate(u) == []

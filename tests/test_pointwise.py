@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from wcflobdd.core import Forest, evaluate, validate
+from wcflobdd.core import Forest, evaluate, is_zero_diagram, validate
 from wcflobdd.construct import (fold, hadamard_family, scalar_multiply,
                                 unfold, walsh_family)
 from wcflobdd.pointwise import (add, collapse_classes_leftmost, multiply,
                                 pair_product, reduce, subtract,
                                 weighted_pair_product)
-from wcflobdd.semifield import rational_field, real_field
+from wcflobdd.semifield import field_by_name, rational_field, real_field
 
 import oracle
 
@@ -135,6 +135,23 @@ def test_subtract_to_zero():
     assert subtract(h, h) is FL.zero_diagram(2)
     w = walsh_family(F, 2)
     assert subtract(w, w) is F.zero_diagram(2)
+
+
+@pytest.mark.parametrize("instance", ["float", "complex"])
+@pytest.mark.parametrize("level", [8, 9, 10])
+def test_hadamard_minus_itself_is_zero_from_level_8(instance, level):
+    # From level 8 the factor of H, 2^(-m/2) on m = 2^(l-1) row bits,
+    # keys as 0 but is not 0, so -H is no zero diagram and H - H is.
+    f = Forest(field_by_name(instance))
+    h = hadamard_family(f, level)
+    assert subtract(h, h) is f.zero_diagram(level)
+    negated = scalar_multiply(f.field.minus_one, h)
+    assert not is_zero_diagram(negated)
+    # Only the magnitude is checked: the diagram table keys the factors
+    # 2^(-m/2) and -2^(-m/2) alike, as 0, so -H interns as H and the
+    # sign is lost (ROADMAP item 1).
+    cell = evaluate(negated, [0] * (1 << level))
+    assert abs(cell) == pytest.approx(2.0 ** -(1 << (level - 2)), rel=1e-12)
 
 
 def test_ops_against_dense_oracle():

@@ -306,13 +306,14 @@ def test_towers_live_outside_the_memo_caches():
     run_circuit(qft(32, 12345), f)
     matrix_multiply(hadamard_family(f, 2), hadamard_family(f, 2))
     measure(run_circuit(ghz(8), f), 4, seed=1)
-    for name in ("walsh_proto", "identity_proto", "not_proto", "zero_ket"):
+    for name in ("walsh_proto", "identity_proto", "not_proto", "zero_ket",
+                 "gate_factors"):
         assert name not in f.caches
     for table in f.caches.values():
         assert not any(isinstance(v, Forest) for v in table.values())
     towers = dict(f._tower_table)
-    assert {"zero", "walsh", "identity", "not", "zero_ket"} <= {
-        name for name, _ in towers}
+    assert {"zero", "walsh", "identity", "not", "zero_ket", "projector0",
+            "projector1"} <= {name for name, _ in towers}
     groupings = f.stats()["groupings"]
     f.clear_caches()
     rebuild = {
@@ -321,6 +322,8 @@ def test_towers_live_outside_the_memo_caches():
         "identity": lambda level: identity_proto(f, level),
         "not": lambda level: not_matrix(f, level).head,
         "zero_ket": lambda level: basis_state(f, [0] * (1 << level)).head,
+        "projector0": lambda level: fold(f, [1, 0, 0, 0]).head,
+        "projector1": lambda level: fold(f, [0, 0, 0, 1]).head,
     }
     for (name, level), head in towers.items():
         assert rebuild[name](level) is head, (name, level)

@@ -182,14 +182,27 @@ def test_rational_text_round_trip():
     assert FR.format(Fraction(2048)) == "2048"
 
 
+# Signed zeros, the smallest subnormal, the largest double and a value
+# that needs all 17 significant digits.
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                -1.7976931348623157e308, 0.30000000000000004)
+
+
 def test_float_format_rounded():
     assert FL.format_rounded(-0.7071067811865476) == "-0.7071067812"
     assert FL.parse(FL.format(0.1)) == 0.1
+    for x in _EDGE_FLOATS:
+        assert repr(FL.parse(FL.format(x))) == repr(x)
 
 
 def test_complex_text_round_trip():
     for v in (0j, 1 + 0j, 0 + 1j, 1.5 - 2.25j, -0.5 + 0.5j):
         assert FC.parse(FC.format(v)) == v
+    for re_part in _EDGE_FLOATS:
+        for im_part in _EDGE_FLOATS:
+            v = complex(re_part, im_part)
+            assert FC.format(v) == f"{re_part!r},{im_part!r}"
+            assert repr(FC.parse(FC.format(v))) == repr(v)
 
 
 def test_abs2_and_measure_field():

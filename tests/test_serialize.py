@@ -1,6 +1,10 @@
 """Textual dump round trips and DOT export."""
 
+import subprocess
+import sys
 from fractions import Fraction
+
+import pytest
 
 from wcflobdd.core import Forest
 from wcflobdd.construct import (exp_family, fold, hadamard_family,
@@ -82,6 +86,51 @@ def test_load_rejects_bad_input():
         assert False
     except ValueError as e:
         assert "line 2" in str(e)
+
+
+_NON_FINITE = {"real": ("inf", "-inf", "nan", "1e400"),
+               "complex": ("inf,0.0", "0.0,-inf", "nan,0.0", "0.0,nan",
+                           "1e400,0.0", "0.0,-1e400")}
+
+
+def _non_finite_dumps():
+    """(text, line number) of real and complex dumps, each with one
+    inf, nan or out-of-range weight: first in the factor, then in the
+    right weight of the first leaf."""
+    dumps = (dump_diagram(hadamard_family(Forest(real_field()), 1)),
+             dump_diagram(run_circuit(ghz(2), quantum_forest()).diagram))
+    for dump in dumps:
+        lines = dump.splitlines()
+        leaf = next(i for i, ln in enumerate(lines) if " fork " in ln)
+        for bad in _NON_FINITE[lines[0].split()[2]]:
+            for index, slot in ((len(lines) - 1, 1), (leaf, 4)):
+                parts = lines[index].split()
+                parts[slot] = bad
+                edited = lines[:index] + [" ".join(parts)] + lines[index + 1:]
+                yield "\n".join(edited) + "\n", index + 1
+
+
+def test_load_rejects_non_finite_weights():
+    cases = list(_non_finite_dumps())
+    assert len(cases) == 20
+    for text, line in cases:
+        with pytest.raises(ValueError, match=f"line {line}:.*not finite"):
+            load_diagram(text)
+
+
+def test_cli_rejects_non_finite_dumps(tmp_path):
+    # A real dump with an inf factor and a nan leaf used to validate as
+    # ok and evaluate to inf.
+    lines = dump_diagram(hadamard_family(Forest(real_field()), 1)).split("\n")
+    lines = [ln.replace("dontcare 1.0 -1.0", "dontcare 1.0 nan")
+             for ln in lines[:-2]] + ["d inf 3 1.0", ""]
+    path = tmp_path / "bad.dump"
+    path.write_text("\n".join(lines))
+    for argv in (("validate", str(path)), ("eval", str(path), "11")):
+        out = subprocess.run([sys.executable, "-m", "wcflobdd.cli", *argv],
+                             capture_output=True, text=True)
+        assert out.returncode == 2, (argv, out.stdout, out.stderr)
+        assert "not finite" in out.stderr and out.stdout == ""
 
 
 def test_dump_record_order():
