@@ -1,10 +1,11 @@
 """Command-line front end: benchmarks, diagram I/O, evaluation, sampling.
 
 Inputs to eval/validate/export/op/sample are either dump files (see
-serialize) or family names: EXP_n, W_l (Walsh), H_l (Hadamard), I_l
-(identity), X_l (NOT), ZERO_k, ONE_k.  The parameter is the variable
-count for EXP and the level otherwise.  Families pick a sensible
-instance when --instance is not given (rational, except float for H).
+serialize) or family names, the keys of ``_FAMILIES``: EXP_n, ZERO_n,
+ONE_n, W_n (Walsh), H_n (Hadamard), I_n (identity), X_n or NOT_n (NOT).
+The parameter n is the variable count, a power of two; the matrices
+need n >= 2.  Families pick a sensible instance when --instance is not
+given (rational, except float for H).
 
 Benchmark reports use the row schema
 suite,bench,param,instance,time_s,groupings,vertices,edges,total,status
@@ -37,36 +38,19 @@ _QUANTUM_DEFAULTS = {"GHZ": (16, 256, 4096), "BV": (8, 64, 256),
                      "DJ": (8, 64, 256), "QFT": (4, 8, 16)}
 
 
-def _family(forest, name, nvars):
-    """Build NAME_n where n counts boolean variables (a power of two)."""
-    if nvars < 1 or nvars & (nvars - 1):
-        raise ValueError(f"variable count {nvars} is not a power of two")
-    if name == "EXP":
-        return exp_family(forest, nvars)
-    level = nvars.bit_length() - 1
-    if name == "ZERO":
-        return forest.zero_diagram(level)
-    if name == "ONE":
-        return forest.one_diagram(level)
-    if level < 1:
-        raise ValueError(f"{name}_{nvars}: matrices need at least 2 variables")
-    if name == "W":
-        return walsh_family(forest, level)
-    if name == "H":
-        return hadamard_family(forest, level)
-    if name == "I":
-        return identity_matrix(forest, level)
-    return not_matrix(forest, level)
+def _on_level(build):
+    """A family builder on the level log2(n) of n variables."""
+    return lambda forest, nvars: build(forest, nvars.bit_length() - 1)
 
 
-def _parse_family(text):
-    head, _, tail = text.rpartition("_")
-    if not head or not tail.isdigit():
-        return None
-    name = head.upper()
-    if name not in ("EXP", "W", "H", "I", "X", "NOT", "ZERO", "ONE"):
-        return None
-    return name, int(tail)
+# Family name -> builder from (forest, variable count).  The builders
+# raise ValueError below their lowest level (W_1, say).
+_FAMILIES = {
+    "EXP": exp_family, "ZERO": _on_level(Forest.zero_diagram),
+    "ONE": _on_level(Forest.one_diagram), "W": _on_level(walsh_family),
+    "H": _on_level(hadamard_family), "I": _on_level(identity_matrix),
+    "X": _on_level(not_matrix), "NOT": _on_level(not_matrix),
+}
 
 
 def _resolve(text, instance, forest=None):
@@ -76,17 +60,20 @@ def _resolve(text, instance, forest=None):
             content = fh.read()
         d = load_diagram(content, forest)
         return d, d.forest
-    fam = _parse_family(text)
-    if fam is None:
+    head, _, tail = text.rpartition("_")
+    name = head.upper()
+    if name not in _FAMILIES or not tail.isdigit():
+        names = ", ".join(f"{n}_n" for n in _FAMILIES)
         raise ValueError(f"{text!r} is neither a file nor a family name "
-                         "(EXP_n, W_n, H_n, I_n, X_n, ZERO_n, ONE_n; "
-                         "n = variable count)")
-    name, param = fam
+                         f"({names}; n = variable count)")
+    nvars = int(tail)
+    if nvars < 1 or nvars & (nvars - 1):
+        raise ValueError(f"variable count {nvars} is not a power of two")
     if forest is None:
         if instance is None:
             instance = "float" if name == "H" else "rational"
         forest = Forest(field_by_name(instance))
-    return _family(forest, name, param), forest
+    return _FAMILIES[name](forest, nvars), forest
 
 
 def _write(text, out):
@@ -256,8 +243,8 @@ def _quantum_units(params, seed):
               "BV": lambda n: run_hidden(bernstein_vazirani, n),
               "DJ": lambda n: run_hidden(deutsch_jozsa, n)}
     units = []
-    for bench in ("GHZ", "BV", "DJ", "QFT"):
-        for n in (params or _QUANTUM_DEFAULTS[bench]):
+    for bench, defaults in _QUANTUM_DEFAULTS.items():
+        for n in (params or defaults):
             units.append((bench, n, "complex", makers[bench](n)))
     return units
 

@@ -25,8 +25,9 @@ levels.
 The named families (EXP, Walsh/Hadamard, identity, NOT) are built
 structurally rather than by folding, so they stay cheap at high
 levels; Walsh, identity and NOT fold only their 2x2 base and are built
-level by level by ``Forest._tower``. Tests assert they coincide with
-folds where feasible.
+level by level by ``Forest._tower``, which also raises ValueError
+below their lowest level, 1. Tests assert they coincide with folds
+where feasible.
 """
 
 from __future__ import annotations
@@ -73,13 +74,17 @@ def _fold(forest, weights, labels):
 def fold(forest: Forest, values) -> Diagram:
     """Canonical diagram of a flat leaf array, in assignment order.
 
-    The leaf count must be 2**(2**k) for some level k >= 0.
+    The leaf count must be 2**(2**k) for some level k >= 0.  A float or
+    complex value that is inf or nan raises ValueError.
     """
     field = forest.field
     zero, one = field.zero, field.one
     # Values that key as zero fold as the exact zero, so a float table
     # holding 1e-12 or -0.0 folds like the one holding 0.
     values = [zero if field.is_zero(v) else v for v in values]
+    for v in values:
+        if not field.is_finite(v):
+            raise ValueError(f"leaf value {v!r} is not finite")
     n = len(values)
     nvars = n.bit_length() - 1
     if n < 2 or n & (n - 1) or nvars & (nvars - 1):
@@ -198,8 +203,6 @@ _NOT = ("not", 1, _folded("zero", "one", "one", "zero"), _not_step)
 
 def walsh_family(forest: Forest, l: int) -> Diagram:
     """Unnormalized Hadamard (entries +-1), exact in any instance."""
-    if l < 1:
-        raise ValueError("walsh_family needs level >= 1")
     return forest.diagram(forest.field.one, forest._tower(_WALSH, l),
                           (forest.field.one,))
 
@@ -212,8 +215,6 @@ def hadamard_family(forest: Forest, l: int) -> Diagram:
     constructions intern to the identical triple.  From level 13 the
     factor 2^-2048 underflows to 0.0 and OverflowError is raised.
     """
-    if l < 1:
-        raise ValueError("hadamard_family needs level >= 1")
     field = forest.field
     if isinstance(field, RationalSemifield):
         raise ValueError("1/sqrt(2) is irrational; see walsh_family")
@@ -226,8 +227,6 @@ def hadamard_family(forest: Forest, l: int) -> Diagram:
 
 def identity_matrix(forest: Forest, l: int) -> Diagram:
     """Identity matrix on 2^(2^(l-1)) dimensions (interleaved bits)."""
-    if l < 1:
-        raise ValueError("identity_matrix needs level >= 1")
     field = forest.field
     return forest.diagram(field.one, identity_proto(forest, l),
                           (field.one, field.zero))
@@ -240,8 +239,6 @@ def identity_proto(forest: Forest, level: int):
 
 def not_matrix(forest: Forest, l: int) -> Diagram:
     """Anti-diagonal permutation (bitwise NOT) matrix at level l."""
-    if l < 1:
-        raise ValueError("not_matrix needs level >= 1")
     field = forest.field
     return forest.diagram(field.one, forest._tower(_NOT, l),
                           (field.zero, field.one))

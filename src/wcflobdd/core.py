@@ -204,11 +204,15 @@ class Forest:
     # -- interning ---------------------------------------------------
 
     def leaf(self, lw, rw, exits) -> LeafGrouping:
-        """Level-0 grouping with 1 (don't-care) or 2 (fork) exits."""
+        """Level-0 grouping with 1 (don't-care) or 2 (fork) exits; a new
+        one whose weight is inf or nan raises OverflowError."""
         f = self.field
         key = _leaf_key(f, exits, lw, rw)
         g = self._grouping_table.get(key)
         if g is None:
+            if not (f.is_finite(lw) and f.is_finite(rw)):
+                raise OverflowError(f"level-0 weights {lw!r}, {rw!r} are "
+                                    "out of float range")
             g = self._grouping_table[key] = LeafGrouping(lw, rw, exits)
             g.canonical = f.is_one(lw) or (f.is_zero(lw) and f.is_one(rw))
         return g
@@ -312,11 +316,14 @@ class Forest:
         ``spec`` is (name, lowest level, function from the forest to the
         grouping there, step); each level above is ``internal(below,
         *step(below, zero proto))``, and a one-level tower has no step.
-        Keyed by (name, level), not a cache.
+        Keyed by (name, level), not a cache.  The one level check of the
+        protos and families: below the lowest level, ValueError.
         """
         g = self._tower_table.get((spec[0], level))
         if g is None:
             name, bottom, base, step = spec
+            if level < bottom:
+                raise ValueError(f"the {name} tower starts at level {bottom}")
             if level == bottom:
                 g = base(self)
             else:
@@ -340,12 +347,6 @@ class Forest:
     def one_diagram(self, level: int) -> Diagram:
         return self.diagram(self.field.one, self.one_proto(level),
                             (self.field.one,))
-
-    def constant_diagram(self, level: int, value) -> Diagram:
-        """The diagram mapping every assignment to ``value``."""
-        if self.field.is_zero(value):
-            return self.zero_diagram(level)
-        return self.diagram(value, self.one_proto(level), (self.field.one,))
 
     def __repr__(self):
         return (f"<Forest {self.field.name}: "

@@ -39,7 +39,7 @@ import operator
 
 from .core import Diagram, Forest, evaluate
 from .construct import (_folded, _identity_step, fold, hadamard_family,
-                        identity_matrix, not_matrix, scalar_multiply)
+                        identity_matrix, not_matrix, scalar_multiply, unfold)
 from .matrix import apply_matrix_to_vector, kronecker, matrix_multiply
 from .pointwise import add, subtract
 from .sampling import SampleContext, _draw, _target_row
@@ -357,14 +357,13 @@ def amplitude(state: QuantumState, bits) -> complex:
 
 
 def state_vector(state: QuantumState):
-    """All 2^n amplitudes in basis-label order; desk scale only."""
+    """All 2^n amplitudes in basis-label order; desk scale only.
+
+    The padded state's ``unfold`` at the labels whose padding qubits,
+    the low bits, are 0; each is bit-equal to ``amplitude``'s value."""
     if state.n > 16:
         raise ValueError("state_vector is meant for small qubit counts")
-    out = []
-    for x in range(1 << state.n):
-        bits = [(x >> (state.n - 1 - j)) & 1 for j in range(state.n)]
-        out.append(amplitude(state, bits))
-    return out
+    return unfold(state.diagram)[::1 << (state.padded - state.n)]
 
 
 def measure(state: QuantumState, shots: int, seed: int):

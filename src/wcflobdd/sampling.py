@@ -55,17 +55,15 @@ __all__ = [
     "compute_weights",
     "measure_view",
     "sample_assignment",
-    "sampler",
 ]
 
 
 class SampleContext:
     """Deterministic randomness for sampling; same seed, same stream."""
 
-    __slots__ = ("seed", "source")
+    __slots__ = ("source",)
 
     def __init__(self, seed: int):
-        self.seed = seed
         self.source = random.Random(seed)
 
 
@@ -87,8 +85,9 @@ def measure_view(diagram: Diagram) -> Diagram:
     source's shape but not its normalization, so it is interned without
     a canonicity claim.  Its path weights are the squared magnitudes of
     the source's path weights, which is what measurement samples from.
-    Raises OverflowError when the squared factor leaves the float
-    range; measurement itself samples the view of the head only.
+    Raises OverflowError when the squared factor or a squared weight
+    leaves the float range; measurement itself samples the view of the
+    head only.
     """
     forest = diagram.forest
     cache = forest.cache("measure_view")
@@ -127,17 +126,6 @@ def sample_assignment(diagram: Diagram, ctx: SampleContext) -> str:
     when the eligible paths have zero total weight.
     """
     return _draw(_target_row(diagram), ctx.source)
-
-
-def sampler(diagram: Diagram):
-    """A function ``ctx -> assignment`` that draws as sample_assignment.
-
-    The unit-valued exit is found and checked once, here, so repeated
-    draws from one diagram skip that lookup.  Raises as
-    sample_assignment does.
-    """
-    row = _target_row(diagram)
-    return lambda ctx: _draw(row, ctx.source)
 
 
 class _Row:

@@ -4,10 +4,11 @@ Prints ``label sha256`` for every artefact that a behaviour-preserving
 change must leave byte-identical: seeded operation results (dump, size,
 validate, unfold) with the forest's grouping and diagram counts after
 each batch, the named families at levels 1-10 with their DOT export,
-circuit states, the dump positions of the groupings flagged canonical
-under each family and state, each family and state dump loaded into a
-fresh forest and dumped again, every gate on 16 qubits, three gates on
-4096 qubits, the ``gate_blocks`` and grouping counts of three circuits,
+circuit states, the ``state_vector`` amplitudes of four small padded
+states, the dump positions of the groupings flagged canonical under
+each family and state, each family and state dump loaded into a fresh
+forest and dumped again, every gate on 16 qubits, three gates on 4096
+qubits, the ``gate_blocks`` and grouping counts of three circuits,
 seeded sample streams with their path totals and error messages, the float
 and complex canonical keys of edge and seeded values, and CLI output
 with ``time_s`` removed from bench rows.  Run it on two checkouts and
@@ -177,6 +178,12 @@ def circuits():
     emit("canonical/state/Grover-8",
          _canonical(state.diagram.forest, state.diagram))
     emit("reload/state/Grover-8", _reload(state.diagram))
+    for label, circuit in (("GHZ-5", quantum.ghz(5)),
+                           ("QFT-5", quantum.qft(5, 3)),
+                           ("BV-3", quantum.bernstein_vazirani(3, "101")),
+                           ("QFT-9", quantum.qft(9, 300))):
+        emit(f"state_vector/{label}", "\n".join(
+            map(repr, quantum.state_vector(wc.run_circuit(circuit)))))
 
 
 def gates():

@@ -127,6 +127,15 @@ def test_unknown_family_is_an_error():
     run_cli("eval", "NOPE_3", "001", expect=2)
 
 
+def test_one_variable_families():
+    for family in ("W_1", "H_1", "I_1", "X_1"):
+        out = subprocess.run([sys.executable, "-m", "wcflobdd.cli", "eval",
+                              family, "0"], capture_output=True, text=True)
+        assert out.returncode == 2, (family, out.stderr)
+        assert "tower starts at level 1" in out.stderr, (family, out.stderr)
+    assert run_cli("eval", "ONE_1", "1").strip() == "1"
+
+
 def test_negative_shot_and_sample_counts_are_errors(tmp_path):
     circuit = tmp_path / "bell.qc"
     circuit.write_text("H 0\nCNOT 0 1\n")

@@ -1,12 +1,15 @@
 """Folding decision trees into diagrams and the named families."""
 
+import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from wcflobdd.core import Forest, evaluate, size, validate
 from wcflobdd.construct import (exp_family, fold, hadamard_family,
-                                identity_matrix, not_matrix, scalar_multiply,
-                                unfold, walsh_family)
+                                identity_matrix, identity_proto, not_matrix,
+                                scalar_multiply, unfold, walsh_family)
 from wcflobdd.quantum import qft, run_circuit
 from wcflobdd.semifield import (Pow2, complex_field, rational_field,
                                 real_field)
@@ -107,6 +110,36 @@ def test_fold_maps_near_zero_floats_to_zero():
             got = fold(Forest(field()), noisy)
             assert dump_diagram(got) == dump_diagram(want)
             assert validate(got) == []
+
+
+def test_fold_rejects_non_finite_values():
+    # A nan leaf gave a new handle on every fold and unfolded to four
+    # nans; inf gave nan entries or an interned inf weight.  None raised.
+    nan, inf = math.nan, math.inf
+    for field, bad in (
+            (real_field, (nan, inf, -inf)),
+            (complex_field, (complex(nan, 0), complex(0, inf), nan, inf,
+                             -inf))):
+        for value in bad:
+            for place in (0, 1, 3):
+                table = [1.0, 2.0, 3.0, 4.0]
+                table[place] = value
+                with pytest.raises(ValueError, match="not finite") as info:
+                    fold(Forest(field()), table)
+                assert repr(value) in str(info.value)
+
+
+def test_levels_below_the_tower_raise():
+    # The zero and one protos recursed into RecursionError below level 0.
+    f = Forest(real_field())
+    for make in (lambda: f.zero_diagram(-1), lambda: f.one_diagram(-1),
+                 lambda: f.zero_proto(-2), lambda: identity_proto(f, 0),
+                 lambda: walsh_family(f, 0), lambda: hadamard_family(f, 0),
+                 lambda: identity_matrix(f, 0), lambda: not_matrix(f, 0)):
+        with pytest.raises(ValueError, match="tower starts at level"):
+            make()
+    assert f.zero_diagram(0).head is f.zero_proto(0)
+    assert validate(walsh_family(f, 1)) == []
 
 
 def test_scalar_multiply():

@@ -78,9 +78,6 @@ def test_constant_diagrams():
     assert z.factor == 0 and o.factor == 1
     assert evaluate(z, [0, 1, 1, 0]) == 0
     assert evaluate(o, [0, 1, 1, 0]) == 1
-    c = f.constant_diagram(1, Fraction(7))
-    assert evaluate(c, [1, 0]) == 7
-    assert f.constant_diagram(1, ZERO) is f.zero_diagram(1)
     assert validate(z) == []
     assert validate(o) == []
 

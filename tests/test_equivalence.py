@@ -146,3 +146,24 @@ def test_unitary_with_commuting_gates_swapped(n):
     u = _unitary(f, n, gates)
     assert _unitary(f, n, swapped) is u
     assert validate(u) == []
+
+
+# Angles whose effect on an amplitude lies past the fourth decimal
+# place, so that a weight key rounded to 4 digits would merge them.
+THETA = 1e-5
+
+
+@pytest.mark.parametrize("n", [16, 256])
+def test_a_phase_past_the_fourth_digit_changes_the_state(n):
+    f = quantum_forest()
+    flipped = run_circuit(Circuit(n).x(3), f).diagram
+    phased = run_circuit(Circuit(n).x(3).phase(THETA, 3), f).diagram
+    assert phased is not flipped
+    assert validate(phased) == []
+
+
+@pytest.mark.parametrize("n", [16, 256])
+def test_phases_past_the_fourth_digit_add_up(n):
+    split = Circuit(n).h(0).h(5).phase(THETA, 5).phase(THETA, 5)
+    merged = Circuit(n).h(0).h(5).phase(2 * THETA, 5)
+    _same_state(merged.cp(THETA, 5, 0), split.cp(THETA, 0, 5))

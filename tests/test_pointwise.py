@@ -223,3 +223,12 @@ def test_factor_out_of_float_range_raises():
             make()
     assert unfold(multiply(b, fold(FL, [0.5, 1.0, 1.0, 1.0]))) == \
         pytest.approx([5e199, 2e200, 3e200, 0.0])
+
+
+@pytest.mark.parametrize("instance", ["float", "complex"])
+def test_product_leaf_out_of_float_range_raises(instance):
+    # The product's leaf weight 1e600 was interned as inf, so d * d
+    # unfolded to [1, inf, 1, 1] and passed validate.
+    d = fold(Forest(field_by_name(instance)), [1.0, 1e300, 1.0, 1.0])
+    with pytest.raises(OverflowError, match="out of float range"):
+        multiply(d, d)

@@ -14,7 +14,7 @@ from wcflobdd.pointwise import add
 from wcflobdd.quantum import (Circuit, bernstein_vazirani, ghz, measure, qft,
                               run_circuit)
 from wcflobdd.sampling import (SampleContext, compute_weights, measure_view,
-                               sample_assignment, sampler)
+                               sample_assignment)
 from wcflobdd.semifield import complex_field, rational_field, real_field
 
 import oracle
@@ -81,6 +81,14 @@ def test_measure_view_complex_lands_in_reals():
     assert view.forest is not fc
     assert view.forest.field.name == "real"
     assert all(abs(v - 0.25) < 1e-12 for v in unfold(view))
+
+
+def test_measure_view_of_a_leaf_out_of_float_range_raises():
+    # |1e200i|^2 = 1e400: the view interned an inf leaf weight and
+    # unfolded to [1, inf, 1, 1].
+    d = fold(Forest(complex_field()), [1, 1e200j, 1, 1])
+    with pytest.raises(OverflowError, match="out of float range"):
+        measure_view(d)
 
 
 def test_sampler_distribution_is_exact():
@@ -239,9 +247,8 @@ def test_sample_stream_matches_reference_walk():
               if g.level == 0]
     assert any(g.number_of_exits == 1 and g.lw != g.rw for g in leaves)
     assert any(g.lw == 0 or g.rw == 0 for g in leaves)
-    # Views draw as measure does, tables through sample_assignment.
-    cases = [(v, sampler(v)) for v in views] + \
-        [(t, functools.partial(sample_assignment, t)) for t in tables]
+    cases = [(d, functools.partial(sample_assignment, d))
+             for d in views + tables]
     for index, (d, draw) in enumerate(cases):
         target = _unit_exit(d)
         memo = {}
