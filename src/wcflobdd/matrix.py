@@ -6,9 +6,10 @@ Kronecker product stacks the operands' variables, so it simply wraps the
 two heads in a new top grouping.  Matrix multiplication recurses through
 the block structure; below the top level no concrete cell values exist,
 so each product exit carries a bilinear polynomial over the operands'
-exit vertices whose coefficients absorb the summed path weights.  The
-polynomials collapse to numbers only at top level, after which a reduce
-pass restores canonicity.
+exit vertices whose coefficients absorb the summed path weights.  Each
+level merges equal middles into its A-side product as reduce would and
+interns only its result.  The polynomials collapse to numbers only at
+top level, after which a reduce pass restores canonicity.
 
 A level-k diagram is also a vector over the 2^k row bits of a level
 k+1 matrix.  Both A-connections then cover the first half of the rows,
@@ -72,14 +73,6 @@ def _collapse_bps(field, bps):
         return tuple(sorted(zip(bp, map(coeff_key, bp.values()))))
 
     return collapse_classes_leftmost(bps, bp_key)
-
-
-def _bp_remap(bp, rt1, rt2):
-    """Rename exit-vertex variables through the owners' return tuples."""
-    out = {}
-    for (e1, e2), coeff in bp.items():
-        out[(rt1[e1 - 1], rt2[e2 - 1])] = coeff
-    return out
 
 
 def kronecker(n1: Diagram, n2: Diagram) -> Diagram:
@@ -240,40 +233,49 @@ def _cells(forest, g):
 
 
 def _mat_mult_internal(forest, g1, g2):
+    """Sum each A-exit's B-products, then merge equal middles into the
+    A-side product as ``_reduce_internal`` does: one grouping interned."""
     field = forest.field
     aa, ma, wa = _mat_mult_groupings(forest, g1.a_connection, g2.a_connection)
-    bs = []
-    rts = []
-    all_bps = []
-    exit_values = []
+    sums = []
     for bp_a in ma:
-        acc = _symbolic_zero(forest, g2.level - 1)
+        acc = (field.zero, forest.zero_proto(g2.level - 1), ({},))
         for (k1, k2), v in bp_a.items():
             bb, mb, wb = _mat_mult_groupings(forest, g1.b_connections[k1 - 1],
                                              g2.b_connections[k2 - 1])
-            mapped = [_bp_remap(bp, g1.b_return_tuples[k1 - 1],
-                                g2.b_return_tuples[k2 - 1]) for bp in mb]
+            # Exit vertices renamed through the return tuples.
+            rt1 = g1.b_return_tuples[k1 - 1]
+            rt2 = g2.b_return_tuples[k2 - 1]
+            mapped = [{(rt1[e1 - 1], rt2[e2 - 1]): c
+                       for (e1, e2), c in bp.items()} for bp in mb]
             reps, rho = _collapse_bps(field, mapped)
             h, fw = reduce(forest, bb, rho, (wb,) * len(mb))
             term = (field.mul(v, fw), h, reps)
             acc = _symbolic_add(forest, acc, term)
-        w_i, h_i, bps_i = acc
-        offset = len(all_bps)
-        bs.append(h_i)
-        rts.append(tuple(range(offset + 1, offset + 1 + len(bps_i))))
-        all_bps.extend(bps_i)
-        exit_values.extend([w_i] * len(bps_i))
-    g = forest.internal(aa, tuple(bs), tuple(rts))
+        sums.append(acc)
 
-    reps, rho = _collapse_bps(field, all_bps)
-    reduced, fw = reduce(forest, g, rho, tuple(exit_values))
-    if reduced.number_of_exits != len(reps):
+    reps, rho = _collapse_bps(field, [bp for _, _, bps in sums for bp in bps])
+    middles = []
+    weights = []
+    start = 0
+    for w, h, bps in sums:
+        # h is canonical and its polynomials distinct, so reduce would
+        # keep (h, w) unless w keys as zero.
+        if field.is_zero(w):
+            h, w = reduce(forest, h, tuple(range(1, len(bps) + 1)),
+                          (w,) * len(bps))
+        middles.append((h, rho[start:start + len(bps)]))
+        weights.append(w)
+        start += len(bps)
+    kept, positions = collapse_classes_leftmost(middles)
+    a, w = reduce(forest, aa, positions, tuple(weights))
+    if a.number_of_exits != len(kept):
+        raise StructureError("reduced A-connection lost middle classes")
+    g = forest.internal(a, [h for h, _ in kept], [rt for _, rt in kept])
+    g.canonical = True
+    if g.number_of_exits != len(reps):
         raise StructureError("matrix product lost exit classes")
-    return (reduced, reps, field.mul(wa, fw))
-
-
-def _symbolic_zero(forest, level):
-    return (forest.field.zero, forest.zero_proto(level), ({},))
+    return (g, reps, field.mul(wa, w))
 
 
 def _symbolic_add(forest, s1, s2):

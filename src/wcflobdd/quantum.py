@@ -15,35 +15,40 @@ qubits wide, where it is the projection sum
 
     C-U(a, b) = |0><0|_a (x) I  +  |1><1|_a (x) U_b
 
-with a and b counted from the block's first qubit.  Since
-(A (x) I) + (B (x) I) = (A + B) (x) I, canonicity gives the same handle
-as the sum over the whole register.  The projectors are level-1 towers
-of the forest, folded once each.
+with a and b counted from the block's first qubit.  The block is that
+sum's canonical grouping, built with no pointwise add: a class tower
+over the first half (the identity, one qubit's cells labelled by class)
+picks the second half's block by class.  Control first: class 0 picks
+I, class 1 U at the target.  Target first (CNOT; CP is symmetric and
+put control first): the diagonal class picks |0><0| at the control,
+the off-diagonal |1><1|.  Since (A (x) I) + (B (x) I) = (A + B) (x) I,
+canonicity gives the same handle as the sum over the whole register.
 
 _kron_segment alone places blocks among identities, with a balanced
 Kronecker tree, so a gate on P qubits touches O(log P) fresh groupings.
 A segment depends on its width, its blocks and their positions counted
 from its first qubit, not on where it sits in the register.  The
-forest's ``gate_blocks`` table keeps each segment and each controlled
-block under that offset-free key, so the segment a CNOT needs at qubits
-(40, 41) is the one made for (8, 9).  Blocks enter the key as interned
-diagrams, which hash and compare by identity; the key holds a
-reference, so an identity cannot be freed and reused while the entry
-lives.  A rebuild at any offset runs the same operations on the same
-handles in the same order, so it would intern the stored handle.
+forest's ``gate_blocks`` table keeps each segment, class tower and
+controlled block under that offset-free key, so the segment a CNOT
+needs at qubits (40, 41) is the one made for (8, 9).  Blocks enter the
+key as interned diagrams, which hash and compare by identity; the key
+holds a reference, so an identity cannot be freed and reused while the
+entry lives.  A rebuild at any offset runs the same operations on the
+same handles in the same order, so it would intern the stored handle.
 """
 
 import cmath
 import math
 import operator
 
-from .core import Diagram, Forest, evaluate
-from .construct import (_folded, _identity_step, fold, hadamard_family,
-                        identity_matrix, not_matrix, scalar_multiply, unfold)
+from .core import Diagram, Forest, collapse_rows, evaluate
+from .construct import (_fold, _folded, _identity_step, fold, hadamard_family,
+                        identity_matrix, identity_proto, not_matrix,
+                        scalar_multiply, unfold)
 from .matrix import apply_matrix_to_vector, kronecker, matrix_multiply
-from .pointwise import add, subtract
+from .pointwise import subtract
 from .sampling import SampleContext, _draw, _target_row
-from .semifield import complex_field
+from .semifield import ComplexSemifield, complex_field
 
 __all__ = [
     "Circuit",
@@ -113,8 +118,12 @@ def _zero_ket(forest, width):
 
 
 def _phase(forest, theta):
-    one, zero = forest.field.one, forest.field.zero
-    return fold(forest, [one, zero, zero, cmath.exp(1j * theta)])
+    field = forest.field
+    if not isinstance(field, ComplexSemifield):
+        raise ValueError(f"a phase needs the complex instance, not "
+                         f"{field.name}")
+    return fold(forest, [field.one, field.zero, field.zero,
+                         cmath.exp(1j * theta)])
 
 
 # kind -> (angle count, qubit count, its one-qubit factor from
@@ -280,21 +289,66 @@ def _kron_segment(forest, width, specials, default=_identity, span=1):
     return hit
 
 
-def _controlled(forest, width, a, b, u):
-    """C-U with control a and target b on a block of ``width`` qubits.
+def _class_tower(forest, width, q, cells):
+    """The identity proto over ``width`` qubits, its nonzero cells
+    labelled by the class of qubit q's cell; (grouping, exit labels).
 
-    ``width`` is the smallest aligned block that holds both qubits, and
-    they count from its first qubit, so the projection sum is kept in
-    ``gate_blocks`` under (width, a, b, u).
-    """
+    ``cells`` labels q's four cells in assignment order, "z" a zero
+    cell.  Width 1 folds them; above it, diagonal paths keep their
+    class and off-diagonal paths go to the zero proto."""
     blocks = forest.cache("gate_blocks")
-    key = (width, a, b, u)
-    hit = blocks.get(key)
+    hit = blocks.get((width, q, cells))
     if hit is None:
-        acting = tuple(sorted(((a, _projector(forest, 1)), (b, u))))
-        hit = blocks[key] = add(
-            _kron_segment(forest, width, ((a, _projector(forest, 0)),)),
-            _kron_segment(forest, width, acting))
+        field = forest.field
+        if width == 1:
+            weights = [field.zero if c == "z" else field.one for c in cells]
+            g, _, labels = _fold(forest, weights, cells)
+        else:
+            half = width // 2
+            zero = (forest.zero_proto(_level(half)), ("z",))
+            diagonal = identity_proto(forest, _level(half))
+            if q < half:
+                a, classes = _class_tower(forest, half, q, cells)
+                middles = [zero if c == "z" else (diagonal, (c, "z"))
+                           for c in classes]
+            else:
+                a = diagonal
+                middles = [_class_tower(forest, half, q - half, cells), zero]
+            labels, rts = collapse_rows([exits for _, exits in middles])
+            g = forest.internal(a, [b for b, _ in middles], rts)
+            g.canonical = True
+        hit = blocks[width, q, cells] = (g, labels)
+    return hit
+
+
+def _controlled(forest, width, a, b, u):
+    """C-U, control a and target b, on the smallest aligned block of
+    ``width`` qubits holding both: one grouping over a class tower.
+    Each class block has factor 1, so its values give the exits."""
+    blocks = forest.cache("gate_blocks")
+    hit = blocks.get((width, a, b, u))
+    if hit is None:
+        field = forest.field
+        half = width // 2
+        if a < b:
+            tower, classes = _class_tower(forest, half, a, ("0", "z", "z", "1"))
+            parts = {"0": _identity(forest, half),
+                     "1": _kron_segment(forest, half, ((b - half, u),))}
+        else:  # U is X
+            tower, classes = _class_tower(forest, half, b, ("0", "1", "1", "0"))
+            parts = {str(bit): _kron_segment(
+                forest, half, ((a - half, _projector(forest, bit)),))
+                for bit in (0, 1)}
+        parts["z"] = forest.zero_diagram(_level(half))
+        if parts["0"] is parts["1"]:  # U is I: nothing acts
+            hit = _identity(forest, width)
+        else:
+            parts = [parts[c] for c in classes]
+            values, rts = collapse_rows([d.values for d in parts], field.key)
+            g = forest.internal(tower, [d.head for d in parts], rts)
+            g.canonical = True
+            hit = forest.diagram(field.one, g, values)
+        blocks[width, a, b, u] = hit
     return hit
 
 
@@ -310,7 +364,8 @@ def build_gate(forest: Forest, gate, n: int) -> Diagram:
     u = factor(forest, *angles)
     if len(qubits) == 1:
         return _kron_segment(forest, p, ((qubits[0], u),))
-    a, b = qubits
+    # CP is symmetric, so both orders share the control-first block.
+    a, b = sorted(qubits) if gate[0] == "CP" else qubits
     width = 1 << (a ^ b).bit_length()
     block = _controlled(forest, width, a % width, b % width, u)
     return _kron_segment(forest, p, ((a - a % width, block),), span=width)
@@ -441,9 +496,9 @@ def qft(n: int, basis: int = 0) -> Circuit:
     of H and controlled phases runs, and final swaps (three CNOTs each)
     restore ascending bit order.
     """
-    if not 0 <= basis < (1 << n):
-        raise ValueError("basis label out of range")
     c = Circuit(n)
+    if not 0 <= _integer(basis, "basis label") < (1 << n):
+        raise ValueError("basis label out of range")
     for q in range(n):
         if (basis >> (n - 1 - q)) & 1:
             c.x(q)

@@ -7,9 +7,10 @@ each batch, the named families at levels 1-10 with their DOT export,
 circuit states, the ``state_vector`` amplitudes of four small padded
 states, the dump positions of the groupings flagged canonical under
 each family and state, each family and state dump loaded into a fresh
-forest and dumped again, every gate on 16 qubits, three gates on 4096
-qubits, the ``gate_blocks`` and grouping counts of three circuits,
-seeded sample streams with their path totals and error messages, the float
+forest and dumped again, every gate on 16 qubits, seeded controlled
+gates of each block width on 64 qubits, three gates on 4096 qubits,
+the ``gate_blocks`` and grouping counts of three circuits, seeded
+sample streams with their path totals and error messages, the float
 and complex canonical keys of edge and seeded values, and CLI output
 with ``time_s`` removed from bench rows.  Run it on two checkouts and
 ``diff`` the outputs:
@@ -203,6 +204,22 @@ def gates():
                  ("CP", math.pi / 5, 4095, 0)):
         emit(f"gate/{'-'.join(map(str, gate))}/4096",
              wc.dump_diagram(quantum.build_gate(forest, gate, 4096)))
+    # Seeded controlled gates on 64 qubits, one block of each width from
+    # 2 to 64 at a seeded aligned offset, in both orders.
+    forest = quantum.quantum_forest()
+    rng = random.Random("gates-64")
+    for width in (2, 4, 8, 16, 32, 64):
+        texts = []
+        for _ in range(3):
+            base = rng.randrange(0, 64, width)
+            a = base + rng.randrange(width // 2)
+            b = base + width // 2 + rng.randrange(width // 2)
+            theta = rng.uniform(-math.pi, math.pi)
+            for gate in (("CNOT", a, b), ("CNOT", b, a),
+                         ("CP", theta, a, b), ("CP", theta, b, a)):
+                texts.append(wc.dump_diagram(
+                    quantum.build_gate(forest, gate, 64)))
+        emit(f"gate/seeded/64/width{width}", "\n".join(texts))
     # Table sizes on fresh forests: how many blocks and groupings the
     # gate construction leaves behind.
     for label, circuit in (("GHZ-256", quantum.ghz(256)),

@@ -17,6 +17,7 @@ from wcflobdd.quantum import (Circuit, amplitude, basis_state,
                               bernstein_vazirani, build_gate, deutsch_jozsa,
                               ghz, grover, measure, parse_circuit, qft,
                               quantum_forest, run_circuit, state_vector)
+from wcflobdd.semifield import field_by_name
 from wcflobdd.serialize import dump_diagram
 
 import oracle
@@ -393,3 +394,79 @@ def test_controlled_gate_is_its_block_among_identities():
                      identity_matrix(f, 4))
     assert build_gate(f, ("CNOT", 5, 6), 16) is want
 
+
+
+def _class_tower_cases():
+    """(width, a, b) with a in the first half of the block and b in the
+    second: every pair up to width 16, and a seeded 24 at width 32."""
+    cases = [(w, a, b) for w in (2, 4, 8, 16)
+             for a in range(w // 2) for b in range(w // 2, w)]
+    rng = random.Random(22)
+    return cases + [(32, rng.randrange(16), rng.randrange(16, 32))
+                    for _ in range(24)]
+
+
+@pytest.mark.parametrize("instance", ["rational", "float", "complex"])
+def test_controlled_blocks_are_the_projection_sum(instance):
+    """A controlled gate whose qubits lie in different halves of the
+    register is one block, built as a grouping over a class tower; it
+    is the handle of |0><0|_a (x) I + |1><1|_a (x) U_b, CNOT in both
+    orders, CP on complex in both orders (with CP(a, b) is CP(b, a)),
+    and CP(0) is the identity.  validate is clean on each."""
+    f = Forest(field_by_name(instance))
+    one, zero = f.field.one, f.field.zero
+    p0 = fold(f, [one, zero, zero, zero])
+    p1 = fold(f, [zero, zero, zero, one])
+    i1 = identity_matrix(f, 1)
+    us = {"CNOT": not_matrix(f, 1)}
+    if instance == "complex":
+        theta = 2 * math.pi / 7
+        us["CP"] = fold(f, [one, zero, zero, cmath.exp(1j * theta)])
+    for width, a, b in _class_tower_cases():
+        for c, t in ((a, b), (b, a)):
+            rest = _balanced_kron([p0 if q == c else i1
+                                   for q in range(width)])
+            for kind, u in us.items():
+                acting = _balanced_kron([p1 if q == c else u if q == t
+                                         else i1 for q in range(width)])
+                gate = (kind, c, t) if kind == "CNOT" else (kind, theta, c, t)
+                block = build_gate(f, gate, width)
+                assert block is add(rest, acting), (gate, width)
+                assert validate(block) == [], (gate, width)
+        if instance == "complex":
+            assert (build_gate(f, ("CP", theta, a, b), width)
+                    is build_gate(f, ("CP", theta, b, a), width))
+            assert (build_gate(f, ("CP", 0.0, b, a), width)
+                    is identity_matrix(f, width.bit_length()))
+
+
+def test_circuits_leave_no_non_canonical_groupings():
+    """Controlled blocks are built as canonical groupings and the matrix
+    product interns only its result, so a circuit run leaves every
+    grouping of the forest flagged canonical; GHZ and BV form no
+    pointwise sums at all."""
+    for circuit, sums in ((ghz(256), False),
+                          (bernstein_vazirani(63, "10" * 31 + "1"), False),
+                          (qft(32, 12345), True)):
+        f = quantum_forest()
+        run_circuit(circuit, f)
+        stats = f.stats()
+        assert stats["groupings"] == stats["canonical_ids"], circuit
+        assert ("weighted_pair_product" in stats["caches"]) == sums, circuit
+
+
+@pytest.mark.parametrize("basis", [True, 1.0, "1"])
+def test_qft_basis_must_be_an_integer(basis):
+    with pytest.raises(ValueError, match="basis label .* must be an integer"):
+        qft(3, basis)
+
+
+@pytest.mark.parametrize("instance", ["rational", "float"])
+def test_phases_need_the_complex_instance(instance):
+    f = Forest(field_by_name(instance))
+    message = f"complex instance, not {f.field.name}"
+    for gate in (("PHASE", 0.5, 1), ("CP", 0.5, 0, 1)):
+        with pytest.raises(ValueError, match=message):
+            build_gate(f, gate, 2)
+    with pytest.raises(ValueError, match=message):
+        run_circuit(Circuit(2).x(0).cp(math.pi / 2, 0, 1), f)
