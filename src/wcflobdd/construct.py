@@ -26,8 +26,9 @@ The named families (EXP, Walsh/Hadamard, identity, NOT) are built
 structurally rather than by folding, so they stay cheap at high
 levels; Walsh, identity and NOT fold only their 2x2 base and are built
 level by level by ``Forest._tower``, which also raises ValueError
-below their lowest level, 1. Tests assert they coincide with folds
-where feasible.
+below their lowest level, 1. Their diagrams are held by the forest
+next to the towers (``Forest._hold``). Tests assert they coincide
+with folds where feasible.
 """
 
 from __future__ import annotations
@@ -98,9 +99,12 @@ def unfold(diagram: Diagram):
     """Flat leaf array of the represented function, assignment order.
 
     Exponential in the variable count; intended for desk-scale levels.
+    A float or complex value out of range raises OverflowError, as in
+    ``evaluate``.
     """
     forest = diagram.forest
-    mul = forest.field.mul
+    field = forest.field
+    mul = field.mul
     memo = {}
 
     def paths(g):
@@ -123,8 +127,12 @@ def unfold(diagram: Diagram):
     # The head's path list would be as long as the output, so it is
     # walked rather than memoized. The products keep evaluate's order.
     factor, values = diagram.factor, diagram.values
-    return [mul(factor, mul(w, values[e - 1]))
-            for e, w in paths(diagram.head)]
+    out = [mul(factor, mul(w, values[e - 1]))
+           for e, w in paths(diagram.head)]
+    if not all(map(field.is_finite, out)):
+        raise OverflowError(f"a value of the level-{diagram.level} diagram "
+                            "is out of float range")
+    return out
 
 
 def scalar_multiply(scalar, diagram: Diagram) -> Diagram:
@@ -176,7 +184,7 @@ def exp_family(forest: Forest, n: int) -> Diagram:
 
     level = n.bit_length() - 1
     head = proto(level, 0)
-    return forest.diagram(field.one, head, (field.one,))
+    return forest._hold(forest.diagram(field.one, head, (field.one,)))
 
 
 def _folded(*cells):
@@ -203,8 +211,8 @@ _NOT = ("not", 1, _folded("zero", "one", "one", "zero"), _not_step)
 
 def walsh_family(forest: Forest, l: int) -> Diagram:
     """Unnormalized Hadamard (entries +-1), exact in any instance."""
-    return forest.diagram(forest.field.one, forest._tower(_WALSH, l),
-                          (forest.field.one,))
+    return forest._hold(forest.diagram(
+        forest.field.one, forest._tower(_WALSH, l), (forest.field.one,)))
 
 
 def hadamard_family(forest: Forest, l: int) -> Diagram:
@@ -221,15 +229,15 @@ def hadamard_family(forest: Forest, l: int) -> Diagram:
     factor = field.mul(field.one, 2 ** -0.5)
     for _ in range(l - 1):
         factor = field.mul(factor, factor)
-    return _checked_diagram(forest, factor, forest._tower(_WALSH, l),
-                            (field.one,))
+    return forest._hold(_checked_diagram(
+        forest, factor, forest._tower(_WALSH, l), (field.one,)))
 
 
 def identity_matrix(forest: Forest, l: int) -> Diagram:
     """Identity matrix on 2^(2^(l-1)) dimensions (interleaved bits)."""
     field = forest.field
-    return forest.diagram(field.one, identity_proto(forest, l),
-                          (field.one, field.zero))
+    return forest._hold(forest.diagram(field.one, identity_proto(forest, l),
+                                       (field.one, field.zero)))
 
 
 def identity_proto(forest: Forest, level: int):
@@ -240,5 +248,5 @@ def identity_proto(forest: Forest, level: int):
 def not_matrix(forest: Forest, l: int) -> Diagram:
     """Anti-diagonal permutation (bitwise NOT) matrix at level l."""
     field = forest.field
-    return forest.diagram(field.one, forest._tower(_NOT, l),
-                          (field.zero, field.one))
+    return forest._hold(forest.diagram(field.one, forest._tower(_NOT, l),
+                                       (field.zero, field.one)))

@@ -18,6 +18,12 @@ table keys on them, so each entry holds what it names.  A grouping's
 ``canonical`` flag marks the output of a canonicalizing construction,
 which ``reduce`` may return as is; the towers sit in one forest table.
 
+A forest frees what nothing uses: the unique tables hold weakly, a
+grouping holds its children and a diagram its head, and the computed
+memo tables are dropped each time the live grouping count doubles
+(``Forest`` gives the rules).  A structure that is held stays findable,
+so equal functions still give identical handles while both are alive.
+
 Weights on level-0 edges and the top-level factor come from a
 semi-field instance owned by the forest. A value tuple assigns a
 terminal weight (0 or 1, all entries distinct) to each head exit, and
@@ -30,7 +36,8 @@ both operate on the set of distinct groupings reachable from a head.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+import weakref
+from typing import NamedTuple
 
 from .semifield import Semifield
 
@@ -56,7 +63,7 @@ class StructureError(ValueError):
 
 
 class Grouping:
-    __slots__ = ("canonical",)
+    __slots__ = ("canonical", "__weakref__")
 
     level = 0
     number_of_exits = 0
@@ -112,7 +119,7 @@ class InternalGrouping(Grouping):
 class Diagram:
     """Interned (factor, head grouping, value tuple) triple."""
 
-    __slots__ = ("forest", "factor", "head", "values")
+    __slots__ = ("forest", "factor", "head", "values", "__weakref__")
 
     def __init__(self, forest, factor, head, values):
         self.forest = forest
@@ -180,6 +187,37 @@ _ONE_TOWER = ("one", 0, lambda f: f.dontcare(f.field.one, f.field.one),
               _one_middle)
 
 
+def _weak_table():
+    """An empty unique table and the callback that deletes its dead
+    entries.  Each entry is a ``weakref.KeyedRef`` carrying its key;
+    the callback leaves an entry alone once a new object took the key."""
+    table = {}
+
+    def forget(ref):
+        if table.get(ref.key) is ref:
+            del table[ref.key]
+
+    return table, forget
+
+
+def _absent():
+    """What a unique-table key with no entry dereferences to."""
+    return None
+
+
+# The computed tables: operation memos that reach their operands and
+# results, and that a forest drops together (see Forest).
+_COMPUTED = ("reduce", "pair_product", "weighted_pair_product", "matrix_mult")
+
+# Live groupings below which the computed tables are never dropped.
+# It sits above what one run of the perfbench circuits leaves live on a
+# fresh forest (QFT-32 on a seeded basis 4,858, GHZ-256 2,132, BV-63
+# 977), so those never drop, and below the 13,114 (rational) and
+# 27,731 (complex) that 40 random level-3 operations leave when
+# nothing drops.
+_DROP_FLOOR = 8192
+
+
 class Forest:
     """Owner of the unique tables and operation caches for one field.
 
@@ -190,13 +228,27 @@ class Forest:
     makes handles unique; the caches only avoid recomputation).  The
     tower table and ``measure_forest``, where measure_view puts squared
     magnitudes (this forest unless complex), are not caches.
+
+    Memory: the unique tables hold weakly, so a grouping or diagram is
+    freed once nothing else reaches it.  What pins a structure is a
+    live handle, the tower table and the named families' diagrams
+    (held as long as the forest, see ``_hold``), and the memo tables.
+    Of those, ``gate_blocks``, ``measure_view`` and ``sample_cdf``
+    stay until ``clear_caches``.  The computed tables (``reduce``,
+    ``pair_product``, ``weighted_pair_product`` and ``matrix_mult``)
+    are cleared together whenever a new grouping takes the live count
+    above a threshold, which then becomes twice the count that
+    survives, and never less than ``_DROP_FLOOR``.  Their entries are
+    pure, so dropping them only costs recomputation.
     """
 
     def __init__(self, field: Semifield):
         self.field = field
-        self._grouping_table = {}
-        self._diagram_table = {}
+        self._grouping_table, self._forget_grouping = _weak_table()
+        self._diagram_table, self._forget_diagram = _weak_table()
         self._tower_table = {}
+        self._held = set()
+        self._drop_at = _DROP_FLOOR
         self.caches = {}
         measure = field.measure_field()
         self.measure_forest = self if measure is field else Forest(measure)
@@ -208,13 +260,14 @@ class Forest:
         one whose weight is inf or nan raises OverflowError."""
         f = self.field
         key = _leaf_key(f, exits, lw, rw)
-        g = self._grouping_table.get(key)
+        g = self._grouping_table.get(key, _absent)()
         if g is None:
             if not (f.is_finite(lw) and f.is_finite(rw)):
                 raise OverflowError(f"level-0 weights {lw!r}, {rw!r} are "
                                     "out of float range")
-            g = self._grouping_table[key] = LeafGrouping(lw, rw, exits)
+            g = LeafGrouping(lw, rw, exits)
             g.canonical = f.is_one(lw) or (f.is_zero(lw) and f.is_one(rw))
+            self._new_grouping(key, g)
         return g
 
     def fork(self, lw, rw) -> LeafGrouping:
@@ -245,7 +298,7 @@ class Forest:
         level = a_connection.level + 1
         key = _internal_key(level, a_connection, b_connections,
                             b_return_tuples)
-        g = self._grouping_table.get(key)
+        g = self._grouping_table.get(key, _absent)()
         if g is not None:
             # Same parts as a grouping that passed the checks below.
             return g
@@ -255,9 +308,23 @@ class Forest:
             if b.level != a_connection.level:
                 raise StructureError("A- and B-connection levels differ")
         exits = _check_return_tuples(b_connections, b_return_tuples)
-        g = self._grouping_table[key] = InternalGrouping(
-            level, a_connection, b_connections, b_return_tuples, exits)
+        g = InternalGrouping(level, a_connection, b_connections,
+                             b_return_tuples, exits)
+        self._new_grouping(key, g)
         return g
+
+    def _new_grouping(self, key, g):
+        """Enter ``g`` in the unique table; past the threshold, drop the
+        computed tables and set it to twice what survives them."""
+        table = self._grouping_table
+        table[key] = weakref.KeyedRef(g, self._forget_grouping, key)
+        if len(table) > self._drop_at:
+            for name in _COMPUTED:
+                self.caches.get(name, {}).clear()
+            self._rearm()
+
+    def _rearm(self):
+        self._drop_at = max(_DROP_FLOOR, 2 * len(self._grouping_table))
 
     def diagram(self, factor, head, values) -> Diagram:
         f = self.field
@@ -272,10 +339,22 @@ class Forest:
         if len(set(vkeys)) != len(vkeys):
             raise StructureError("value tuple entries must be distinct")
         tkey = (f.key(factor), head, vkeys)
-        d = self._diagram_table.get(tkey)
+        d = self._diagram_table.get(tkey, _absent)()
         if d is None:
             d = Diagram(self, factor, head, values)
-            self._diagram_table[tkey] = d
+            self._diagram_table[tkey] = weakref.KeyedRef(
+                d, self._forget_diagram, tkey)
+        return d
+
+    def _hold(self, d: Diagram) -> Diagram:
+        """``d``, kept as long as the forest, like the towers.
+
+        The named families' diagrams are held.  On a floating instance
+        an operation can land an ulp off a family's factor, as
+        ``H*H`` does with 1.0000000000000004; the rounding key then
+        finds the family's own handle only while it is alive.
+        """
+        self._held.add(d)
         return d
 
     # -- memo tables ---------------------------------------------------
@@ -287,8 +366,12 @@ class Forest:
         return c
 
     def clear_caches(self):
-        """Drop all operation memo tables (unique tables and towers stay)."""
+        """Drop all operation memo tables, and with them every grouping
+        and diagram that only they reached.  Towers, held family
+        diagrams and whatever a caller holds stay; the drop threshold
+        restarts from what survives."""
         self.caches.clear()
+        self._rearm()
 
     def stats(self) -> dict:
         """Entry counts of the unique tables and of each memo table.
@@ -296,14 +379,17 @@ class Forest:
         Returns ``{"groupings": n, "diagrams": n, "canonical_ids": n,
         "caches": {name: entries}}`` with the memo tables by name, and
         in ``canonical_ids`` the number of groupings flagged canonical.
-        Nothing is counted while the forest works: the call reads the
-        tables' lengths and counts the flags in one pass.
+        The unique tables hold weakly, so their counts are the live
+        groupings and diagrams: those a handle, a tower, a held family
+        diagram or a memo table still reaches.  Nothing is counted
+        while the forest works: the call reads the tables' lengths and
+        counts the flags in one pass.
         """
+        refs = list(self._grouping_table.values())
         return {
-            "groupings": len(self._grouping_table),
+            "groupings": len(refs),
             "diagrams": len(self._diagram_table),
-            "canonical_ids": sum(g.canonical
-                                 for g in self._grouping_table.values()),
+            "canonical_ids": sum(ref().canonical for ref in refs),
             "caches": {name: len(table)
                        for name, table in sorted(self.caches.items())},
         }
@@ -341,12 +427,12 @@ class Forest:
         return self._tower(_ONE_TOWER, level)
 
     def zero_diagram(self, level: int) -> Diagram:
-        return self.diagram(self.field.zero, self.zero_proto(level),
-                            (self.field.zero,))
+        return self._hold(self.diagram(self.field.zero, self.zero_proto(level),
+                                       (self.field.zero,)))
 
     def one_diagram(self, level: int) -> Diagram:
-        return self.diagram(self.field.one, self.one_proto(level),
-                            (self.field.one,))
+        return self._hold(self.diagram(self.field.one, self.one_proto(level),
+                                       (self.field.one,)))
 
     def __repr__(self):
         return (f"<Forest {self.field.name}: "
@@ -455,11 +541,16 @@ def evaluate(diagram: Diagram, assignment):
 
     ``assignment`` is a bit string or 0/1 sequence with one bit per
     variable, leftmost bit first (the A-connection half comes first).
+    A float or complex value out of range raises OverflowError: every
+    stored weight is finite, but their product need not be.
     """
     field = diagram.forest.field
     exit_index, weight = evaluate_exit(diagram, assignment)
-    return field.mul(diagram.factor,
-                     field.mul(weight, diagram.values[exit_index - 1]))
+    value = field.mul(diagram.factor,
+                      field.mul(weight, diagram.values[exit_index - 1]))
+    if not field.is_finite(value):
+        raise OverflowError(f"value {value!r} is out of float range")
+    return value
 
 
 def evaluate_exit(diagram: Diagram, assignment):

@@ -248,8 +248,14 @@ def _mat_mult_internal(forest, g1, g2):
             rt2 = g2.b_return_tuples[k2 - 1]
             mapped = [{(rt1[e1 - 1], rt2[e2 - 1]): c
                        for (e1, e2), c in bp.items()} for bp in mb]
-            reps, rho = _collapse_bps(field, mapped)
-            h, fw = reduce(forest, bb, rho, (wb,) * len(mb))
+            if bb.canonical and not field.is_zero(wb):
+                # Return tuples are injective and mb's polynomials
+                # distinct, so no class merges and reduce would keep
+                # (bb, wb).
+                h, fw, reps = bb, wb, mapped
+            else:
+                reps, rho = _collapse_bps(field, mapped)
+                h, fw = reduce(forest, bb, rho, (wb,) * len(mb))
             term = (field.mul(v, fw), h, reps)
             acc = _symbolic_add(forest, acc, term)
         sums.append(acc)

@@ -111,7 +111,8 @@ def _zero_ket(forest, width):
     """|0...0> on ``width`` qubits, a power of two."""
     field = forest.field
     head = forest._tower(_ZERO_KET, _level(width) - 1)
-    return forest.diagram(field.one, head, (field.one, field.zero))
+    return forest._hold(forest.diagram(field.one, head,
+                                       (field.one, field.zero)))
 
 
 # -- the gate table ---------------------------------------------------------
@@ -258,8 +259,8 @@ def parse_circuit(text: str, n: int | None = None) -> Circuit:
 def _projector(forest, bit):
     """The one-qubit projector |bit><bit|, a tower of the forest."""
     one, zero = forest.field.one, forest.field.zero
-    return forest.diagram(one, forest._tower(_PROJECTORS[bit], 1),
-                          (zero, one) if bit else (one, zero))
+    return forest._hold(forest.diagram(one, forest._tower(_PROJECTORS[bit], 1),
+                                       (zero, one) if bit else (one, zero)))
 
 
 def _kron_segment(forest, width, specials, default=_identity, span=1):

@@ -177,10 +177,11 @@ def test_stats_counts_tables_and_grows_until_cleared():
     assert before["caches"] == {}
     rng = oracle.seeded(5)
     seen = before
+    kept = []  # the unique tables count only what something holds
     for _ in range(4):
         a = fold(f, [rng.choice((0.0, 1.0, 2.5)) for _ in range(16)])
         b = fold(f, [rng.choice((0.0, -1.0, 3.0)) for _ in range(16)])
-        add(a, multiply(a, b))
+        kept += [a, b, add(a, multiply(a, b))]
         now = f.stats()
         for name in ("groupings", "diagrams", "canonical_ids"):
             assert now[name] >= seen[name], name
@@ -193,8 +194,15 @@ def test_stats_counts_tables_and_grows_until_cleared():
     f.clear_caches()
     cleared = f.stats()
     assert cleared["caches"] == {}
-    for name in ("groupings", "diagrams", "canonical_ids"):
-        assert cleared[name] == seen[name], name
+    # Clearing frees the cross products only the memo tables reached;
+    # what stays is exactly what the held diagrams and towers reach.
+    assert cleared["diagrams"] == seen["diagrams"]
+    assert cleared["groupings"] < seen["groupings"]
+    live = set()
+    for head in [d.head for d in kept] + list(f._tower_table.values()):
+        live.update(reachable_groupings(head))
+    assert cleared["groupings"] == len(live)
+    assert cleared["canonical_ids"] == sum(g.canonical for g in live)
 
 
 def test_named_caches_clear_but_interning_survives():

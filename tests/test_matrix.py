@@ -240,3 +240,19 @@ def test_apply_matrix_to_vector_rejects_bad_operands():
             assert False, v
         except ValueError:
             pass
+
+
+def test_kronecker_path_product_out_of_float_range_raises_on_read():
+    # Every stored weight of kron(d, d) is finite, but the path through
+    # both 1e300 leaves weighs 1e600; unfold used to give inf there.
+    for instance in (real_field(), complex_field()):
+        d = fold(Forest(instance), [1.0, 1e300, 1.0, 1.0])
+        k = kronecker(d, d)
+        assert validate(k) == []
+        for read in (lambda: unfold(k), lambda: evaluate(k, "0101")):
+            try:
+                read()
+                assert False, "an out-of-range value must raise"
+            except OverflowError as e:
+                assert "out of float range" in str(e)
+        assert evaluate(k, "0001") == 1e300

@@ -232,3 +232,18 @@ def test_product_leaf_out_of_float_range_raises(instance):
     d = fold(Forest(field_by_name(instance)), [1.0, 1e300, 1.0, 1.0])
     with pytest.raises(OverflowError, match="out of float range"):
         multiply(d, d)
+
+
+@pytest.mark.parametrize("instance", ["float", "complex"])
+def test_sum_out_of_float_range_raises_on_read(instance):
+    # e + e doubles the 1e308 leaf, and the factor 2 times that leaf
+    # weight is 2e308; every stored weight is finite, and unfold used
+    # to give inf there.
+    e = fold(Forest(field_by_name(instance)), [1.0, 1e308, 1.0, 1.0])
+    s = add(e, e)
+    assert validate(s) == []
+    with pytest.raises(OverflowError, match="out of float range"):
+        unfold(s)
+    with pytest.raises(OverflowError, match="out of float range"):
+        evaluate(s, "01")
+    assert evaluate(s, "00") == 2.0
