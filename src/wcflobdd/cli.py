@@ -15,6 +15,7 @@ are not, so byte-identical reruns hold for every command except bench.
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -25,8 +26,9 @@ from .construct import (exp_family, hadamard_family, identity_matrix,
                         not_matrix, walsh_family)
 from .matrix import kronecker, matrix_multiply
 from .pointwise import add, multiply, subtract
-from .quantum import (bernstein_vazirani, build_gate, deutsch_jozsa, ghz,
-                      measure, parse_circuit, qft, run_circuit)
+from .quantum import (amplitude, bernstein_vazirani, build_gate,
+                      deutsch_jozsa, ghz, measure, parse_circuit, qft,
+                      run_circuit)
 from .sampling import SampleContext, measure_view, sample_assignment
 from .serialize import dump_diagram, export_dot, load_diagram
 from .semifield import field_by_name
@@ -232,6 +234,11 @@ def _quantum_units(params, seed):
                 raise ValueError(f"measured {outcome}, hidden {hidden}")
             if builder is deutsch_jozsa and outcome == "0" * n:
                 raise ValueError("balanced oracle measured as constant")
+            # |hidden> (x) |->: one path gives 2^-1/2, which a draw misses.
+            value = amplitude(state, hidden + "0")
+            if not math.isclose(abs(value), 2 ** -0.5, rel_tol=1e-9):
+                raise ValueError(f"amplitude {value!r} at the hidden "
+                                 "string, not +-2^-1/2")
             return state.diagram
         return go
 

@@ -12,7 +12,7 @@ package rests on it:
 2. With more leaves, each of the sqrt(n) blocks folds first.  The list
    of block factors, labelled by (grouping, exit labels), then folds
    into the A-connection; its distinct labels give the B-connections in
-   first-occurrence order, and ``collapse_rows`` numbers the exits over
+   first-occurrence order, and ``Forest.join`` numbers the exits over
    their exit labels.
 
 The top-level labels are the 0/1 terminal values, and the one factor
@@ -34,7 +34,7 @@ with folds where feasible.
 from __future__ import annotations
 
 from .core import (Diagram, Forest, _checked_diagram, _one_middle,
-                   collapse_rows, is_zero_diagram)
+                   is_zero_diagram)
 from .semifield import Pow2, RationalSemifield
 
 __all__ = [
@@ -66,8 +66,7 @@ def _fold(forest, weights, labels):
     # Groupings hash by identity, so equal labels mean equal blocks.
     a, w, middles = _fold(forest, [bw for _, bw, _ in blocks],
                           tuple((g, exits) for g, _, exits in blocks))
-    exits, rts = collapse_rows([block_exits for _, block_exits in middles])
-    g = forest.internal(a, [b for b, _ in middles], rts)
+    g, exits = forest.join(a, middles)
     g.canonical = True
     return g, w, exits
 

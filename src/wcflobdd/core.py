@@ -11,7 +11,8 @@ tuples are 1-based, the A-return tuple is always the identity, and
 every grouping is interned in a per-forest unique table, so structural
 equality is pointer equality. ``Forest.leaf`` and ``Forest.internal``
 are the two interning entry points; ``Forest.fork`` and
-``Forest.dontcare`` name the two leaf exit counts.
+``Forest.dontcare`` name the two leaf exit counts.  ``Forest.join``
+numbers exits by the first occurrence of the middles' exit labels.
 
 Groupings and diagrams hash by identity, and every unique and memo
 table keys on them, so each entry holds what it names.  A grouping's
@@ -19,8 +20,8 @@ table keys on them, so each entry holds what it names.  A grouping's
 which ``reduce`` may return as is; the towers sit in one forest table.
 
 A forest frees what nothing uses: the unique tables hold weakly, a
-grouping holds its children and a diagram its head, and the computed
-memo tables are dropped each time the live grouping count doubles
+grouping holds its children and a diagram its head, and all memo
+tables are emptied together each time the live grouping count doubles
 (``Forest`` gives the rules).  A structure that is held stays findable,
 so equal functions still give identical handles while both are alive.
 
@@ -54,7 +55,6 @@ __all__ = [
     "validate",
     "reachable_groupings",
     "collapse_classes_leftmost",
-    "collapse_rows",
 ]
 
 
@@ -205,11 +205,7 @@ def _absent():
     return None
 
 
-# The computed tables: operation memos that reach their operands and
-# results, and that a forest drops together (see Forest).
-_COMPUTED = ("reduce", "pair_product", "weighted_pair_product", "matrix_mult")
-
-# Live groupings below which the computed tables are never dropped.
+# Live groupings below which the memo tables are never dropped.
 # It sits above what one run of the perfbench circuits leaves live on a
 # fresh forest (QFT-32 on a seeded basis 4,858, GHZ-256 2,132, BV-63
 # 977), so those never drop, and below the 13,114 (rational) and
@@ -233,13 +229,11 @@ class Forest:
     freed once nothing else reaches it.  What pins a structure is a
     live handle, the tower table and the named families' diagrams
     (held as long as the forest, see ``_hold``), and the memo tables.
-    Of those, ``gate_blocks``, ``measure_view`` and ``sample_cdf``
-    stay until ``clear_caches``.  The computed tables (``reduce``,
-    ``pair_product``, ``weighted_pair_product`` and ``matrix_mult``)
-    are cleared together whenever a new grouping takes the live count
-    above a threshold, which then becomes twice the count that
-    survives, and never less than ``_DROP_FLOOR``.  Their entries are
-    pure, so dropping them only costs recomputation.
+    Every memo table follows one rule: ``clear_caches`` empties them
+    all whenever a new grouping takes the live count above a
+    threshold, which then becomes twice the count that survives, and
+    never less than ``_DROP_FLOOR``.  Their entries are pure, so
+    dropping them only costs recomputation.
     """
 
     def __init__(self, field: Semifield):
@@ -313,18 +307,34 @@ class Forest:
         self._new_grouping(key, g)
         return g
 
+    def join(self, a_connection, middles, key=None):
+        """(grouping, exit labels) over ``a_connection`` and ``middles``,
+        its (B-connection, exit labels) pairs in A-exit order.  Labels
+        equal under ``key`` (the identity when omitted) share an exit,
+        numbered by first occurrence across the middles."""
+        first = {}
+        labels = []
+        bs = []
+        rts = []
+        for b, row in middles:
+            rt = []
+            for label in row:
+                k = label if key is None else key(label)
+                e = first.get(k)
+                if e is None:
+                    e = first[k] = len(labels) + 1
+                    labels.append(label)
+                rt.append(e)
+            bs.append(b)
+            rts.append(tuple(rt))
+        return self.internal(a_connection, bs, rts), tuple(labels)
+
     def _new_grouping(self, key, g):
-        """Enter ``g`` in the unique table; past the threshold, drop the
-        computed tables and set it to twice what survives them."""
+        """Enter ``g``; past the threshold, clear the caches."""
         table = self._grouping_table
         table[key] = weakref.KeyedRef(g, self._forget_grouping, key)
         if len(table) > self._drop_at:
-            for name in _COMPUTED:
-                self.caches.get(name, {}).clear()
-            self._rearm()
-
-    def _rearm(self):
-        self._drop_at = max(_DROP_FLOOR, 2 * len(self._grouping_table))
+            self.clear_caches()
 
     def diagram(self, factor, head, values) -> Diagram:
         f = self.field
@@ -369,9 +379,15 @@ class Forest:
         """Drop all operation memo tables, and with them every grouping
         and diagram that only they reached.  Towers, held family
         diagrams and whatever a caller holds stay; the drop threshold
-        restarts from what survives."""
+        restarts from what survives, and a separate ``measure_forest``
+        clears too.  Tables are emptied in place, as an operation in
+        mid-recursion holds its own and would keep it alive."""
+        for table in self.caches.values():
+            table.clear()
         self.caches.clear()
-        self._rearm()
+        if self.measure_forest is not self:
+            self.measure_forest.clear_caches()
+        self._drop_at = max(_DROP_FLOOR, 2 * len(self._grouping_table))
 
     def stats(self) -> dict:
         """Entry counts of the unique tables and of each memo table.
@@ -483,25 +499,6 @@ def collapse_classes_leftmost(items, key=None):
             projected.append(item)
         renumbered.append(c)
     return tuple(projected), tuple(renumbered)
-
-
-def collapse_rows(rows, key=None):
-    """One class collapse over the concatenated rows.
-
-    Returns ``(projected, return_tuples)``: ``projected`` as in
-    :func:`collapse_classes_leftmost`, and one tuple of class numbers
-    per row.  This numbers the exits of an internal grouping from the
-    exit labels of its B-connections, taken in middle order.
-    """
-    projected, renumbered = collapse_classes_leftmost(
-        [item for row in rows for item in row], key)
-    out = []
-    start = 0
-    for row in rows:
-        end = start + len(row)
-        out.append(renumbered[start:end])
-        start = end
-    return projected, tuple(out)
 
 
 # -- evaluation ---------------------------------------------------------

@@ -24,9 +24,9 @@ pairs to nonzero coefficients; the empty dict is the zero polynomial.
 """
 
 from .core import (Diagram, StructureError, _checked_diagram,
-                   collapse_classes_leftmost, collapse_rows, is_zero_diagram)
+                   collapse_classes_leftmost, is_zero_diagram)
 from .construct import _fold, identity_matrix, identity_proto
-from .pointwise import (_common_forest, finish, reduce,
+from .pointwise import (_common_forest, _merge_middles, finish, reduce,
                         weighted_pair_product)
 
 __all__ = [
@@ -88,17 +88,14 @@ def kronecker(n1: Diagram, n2: Diagram) -> Diagram:
     if is_zero_diagram(n1) or is_zero_diagram(n2):
         return forest.zero_diagram(level)
 
-    bs = []
-    cells = []
+    middles = []
     for v1 in n1.values:
         if field.is_zero(v1):
-            bs.append(forest.zero_proto(n2.level))
-            cells.append((field.zero,))
+            middles.append((forest.zero_proto(n2.level), (field.zero,)))
         else:
-            bs.append(n2.head)
-            cells.append(tuple(field.mul(v1, v2) for v2 in n2.values))
-    values, rts = collapse_rows(cells, field.key)
-    g = forest.internal(n1.head, bs, rts)
+            middles.append(
+                (n2.head, tuple(field.mul(v1, v2) for v2 in n2.values)))
+    g, values = forest.join(n1.head, middles, field.key)
     g.canonical = True
     return _checked_diagram(forest, field.mul(n1.factor, n2.factor), g,
                             values)
@@ -234,7 +231,7 @@ def _cells(forest, g):
 
 def _mat_mult_internal(forest, g1, g2):
     """Sum each A-exit's B-products, then merge equal middles into the
-    A-side product as ``_reduce_internal`` does: one grouping interned."""
+    A-side product as reduce does: one grouping interned."""
     field = forest.field
     aa, ma, wa = _mat_mult_groupings(forest, g1.a_connection, g2.a_connection)
     sums = []
@@ -273,12 +270,7 @@ def _mat_mult_internal(forest, g1, g2):
         middles.append((h, rho[start:start + len(bps)]))
         weights.append(w)
         start += len(bps)
-    kept, positions = collapse_classes_leftmost(middles)
-    a, w = reduce(forest, aa, positions, tuple(weights))
-    if a.number_of_exits != len(kept):
-        raise StructureError("reduced A-connection lost middle classes")
-    g = forest.internal(a, [h for h, _ in kept], [rt for _, rt in kept])
-    g.canonical = True
+    g, w = _merge_middles(forest, aa, middles, weights)
     if g.number_of_exits != len(reps):
         raise StructureError("matrix product lost exit classes")
     return (g, reps, field.mul(wa, w))

@@ -17,7 +17,7 @@ non-normalized leaf weights); they only ever flow into ``reduce``.
 from functools import partial
 
 from .core import (Diagram, StructureError, _checked_diagram,
-                   collapse_classes_leftmost, collapse_rows, is_zero_diagram)
+                   collapse_classes_leftmost, is_zero_diagram)
 from .construct import scalar_multiply
 
 __all__ = [
@@ -106,15 +106,20 @@ def _reduce_internal(forest, grouping, reduction, values):
             raise StructureError("reduced B-connection lost exit classes")
         middles.append((h, projected))
         b_factors.append(w)
-    # Middles that reduced to the same (B-connection, return tuple) pair
-    # form one class. The class numbering is leftmost-compact, so merging
-    # the A-connection's exits by it folds the duplicate middles away and
-    # absorbs the per-middle factors into the A-side weights.
+    return _merge_middles(forest, grouping.a_connection, middles, b_factors)
+
+
+def _merge_middles(forest, a, middles, weights):
+    """(canonical grouping, factor) over ``a`` and ``middles``, the
+    reduced (B-connection, exit labels) pair of each A-exit.  Reducing
+    ``a`` by the classes of equal middles folds the duplicates away and
+    absorbs each middle's factor in ``weights`` into the A-side weights.
+    """
     kept, positions = collapse_classes_leftmost(middles)
-    a, w = reduce(forest, grouping.a_connection, positions, tuple(b_factors))
+    a, w = reduce(forest, a, positions, tuple(weights))
     if a.number_of_exits != len(kept):
         raise StructureError("reduced A-connection lost middle classes")
-    g = forest.internal(a, [h for h, _ in kept], [rt for _, rt in kept])
+    g, _ = forest.join(a, kept)
     g.canonical = True
     return g, w
 
@@ -155,17 +160,15 @@ def pair_product(forest, g1, g2):
         res = (forest.leaf(lw, rw, len(pt)), pt)
     else:
         a, pt_a = pair_product(forest, g1.a_connection, g2.a_connection)
-        bs = []
-        rows = []
+        middles = []
         for i, j in pt_a:
             b, pt_b = pair_product(forest, g1.b_connections[i - 1],
                                    g2.b_connections[j - 1])
             rt1 = g1.b_return_tuples[i - 1]
             rt2 = g2.b_return_tuples[j - 1]
-            bs.append(b)
-            rows.append([(rt1[e1 - 1], rt2[e2 - 1]) for e1, e2 in pt_b])
-        pt_ans, rts = collapse_rows(rows)
-        res = (forest.internal(a, bs, rts), pt_ans)
+            middles.append(
+                (b, [(rt1[e1 - 1], rt2[e2 - 1]) for e1, e2 in pt_b]))
+        res = forest.join(a, middles)
     cache[key] = res
     return res
 
@@ -233,18 +236,15 @@ def weighted_pair_product(forest, g1, g2, p1, p2):
     else:
         a, pt_a = weighted_pair_product(forest, g1.a_connection,
                                         g2.a_connection, p1, p2)
-        bs = []
-        rows = []
+        middles = []
         for (q1, i), (q2, j) in pt_a:
             b, pt_b = weighted_pair_product(forest, g1.b_connections[i - 1],
                                             g2.b_connections[j - 1], q1, q2)
             rt1 = g1.b_return_tuples[i - 1]
             rt2 = g2.b_return_tuples[j - 1]
-            bs.append(b)
-            rows.append([((f1, rt1[e1 - 1]), (f2, rt2[e2 - 1]))
-                         for (f1, e1), (f2, e2) in pt_b])
-        pt_ans, rts = collapse_rows(rows, partial(_entry_key, field))
-        res = (forest.internal(a, bs, rts), pt_ans)
+            middles.append((b, [((f1, rt1[e1 - 1]), (f2, rt2[e2 - 1]))
+                                for (f1, e1), (f2, e2) in pt_b]))
+        res = forest.join(a, middles, partial(_entry_key, field))
     cache[key] = res
     return res
 

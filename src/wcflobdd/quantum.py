@@ -33,15 +33,16 @@ controlled block under that offset-free key, so the segment a CNOT
 needs at qubits (40, 41) is the one made for (8, 9).  Blocks enter the
 key as interned diagrams, which hash and compare by identity; the key
 holds a reference, so an identity cannot be freed and reused while the
-entry lives.  A rebuild at any offset runs the same operations on the
-same handles in the same order, so it would intern the stored handle.
+entry lives.  The table drops with the forest's other memo tables.  A
+rebuild at any offset runs the same operations on the same handles in
+the same order, so it interns the handle a dropped entry held.
 """
 
 import cmath
 import math
 import operator
 
-from .core import Diagram, Forest, collapse_rows, evaluate
+from .core import Diagram, Forest, evaluate
 from .construct import (_fold, _folded, _identity_step, fold, hadamard_family,
                         identity_matrix, identity_proto, not_matrix,
                         scalar_multiply, unfold)
@@ -315,8 +316,7 @@ def _class_tower(forest, width, q, cells):
             else:
                 a = diagonal
                 middles = [_class_tower(forest, half, q - half, cells), zero]
-            labels, rts = collapse_rows([exits for _, exits in middles])
-            g = forest.internal(a, [b for b, _ in middles], rts)
+            g, labels = forest.join(a, middles)
             g.canonical = True
         hit = blocks[width, q, cells] = (g, labels)
     return hit
@@ -344,9 +344,9 @@ def _controlled(forest, width, a, b, u):
         if parts["0"] is parts["1"]:  # U is I: nothing acts
             hit = _identity(forest, width)
         else:
-            parts = [parts[c] for c in classes]
-            values, rts = collapse_rows([d.values for d in parts], field.key)
-            g = forest.internal(tower, [d.head for d in parts], rts)
+            g, values = forest.join(
+                tower, [(parts[c].head, parts[c].values) for c in classes],
+                field.key)
             g.canonical = True
             hit = forest.diagram(field.one, g, values)
         blocks[width, a, b, u] = hit

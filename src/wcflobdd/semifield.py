@@ -271,7 +271,10 @@ class RationalSemifield(Semifield):
             if base.strip() != "2":
                 raise ValueError(f"bad rational literal: {text!r}")
             return Pow2.make(int(expo))
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
 
     def format(self, a) -> str:
         if isinstance(a, Pow2):

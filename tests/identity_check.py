@@ -9,11 +9,11 @@ states, the dump positions of the groupings flagged canonical under
 each family and state, each family and state dump loaded into a fresh
 forest and dumped again, every gate on 16 qubits, seeded controlled
 gates of each block width on 64 qubits, three gates on 4096 qubits,
-the ``gate_blocks`` and grouping counts of three circuits, seeded
-sample streams with their path totals and error messages, the float
-and complex canonical keys of edge and seeded values, and CLI output
-with ``time_s`` removed from bench rows.  Run it on two checkouts and
-``diff`` the outputs:
+the ``gate_blocks`` and grouping counts of three circuits and the
+entry count of each memo table after each, seeded sample streams with
+their path totals and error messages, the float and complex canonical
+keys of edge and seeded values, and CLI output with ``time_s`` removed
+from bench rows.  Run it on two checkouts and ``diff`` the outputs:
 
     python3 tests/identity_check.py > after.txt
     python3 tests/identity_check.py /path/to/other/checkout/src > before.txt
@@ -221,7 +221,7 @@ def gates():
                     quantum.build_gate(forest, gate, 64)))
         emit(f"gate/seeded/64/width{width}", "\n".join(texts))
     # Table sizes on fresh forests: how many blocks and groupings the
-    # gate construction leaves behind.
+    # gate construction leaves behind, and which memo tables keep what.
     for label, circuit in (("GHZ-256", quantum.ghz(256)),
                            ("QFT-32", quantum.qft(32, 12345)),
                            ("GHZ-4096", quantum.ghz(4096))):
@@ -229,7 +229,9 @@ def gates():
         wc.run_circuit(circuit, forest)
         stats = forest.stats()
         emit(f"gate_blocks/{label}",
-             f"{stats['caches']['gate_blocks']} {stats['groupings']}")
+             f"{stats['caches'].get('gate_blocks', 0)} {stats['groupings']}")
+        for name, entries in stats["caches"].items():
+            emit(f"caches/{label}/{name}", str(entries))
 
 
 def samples():

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+from wcflobdd import cli
+
 
 def run_cli(*args, expect=0):
     out = subprocess.run([sys.executable, "-m", "wcflobdd.cli", *args],
@@ -50,6 +52,34 @@ def test_bench_quantum_runs_past_the_old_caps():
                               "--format", "json"))
     assert [(row["bench"], row["status"]) for row in rows] == [
         ("GHZ", "ok"), ("BV", "ok"), ("DJ", "ok"), ("QFT", "ok")]
+
+
+def test_bench_quantum_checks_the_hidden_amplitude(capsys):
+    # BV-2148's state factor sticks at a subnormal (ROADMAP item 1): the
+    # amplitude at the hidden string reads about 1e-323, not 2^-1/2,
+    # though a measurement still draws the hidden string.
+    for n, status in ((64, "ok"), (2148, "error")):
+        units = [u for u in cli._quantum_units([n], 0) if u[0] == "BV"]
+        assert [row["status"] for row in cli._run_units(
+            "quantum", units, 900.0)] == [status], n
+    assert "not +-2^-1/2" in capsys.readouterr().err
+
+
+def test_zero_denominator_dumps_are_errors(tmp_path):
+    # A ZeroDivisionError traceback and exit code 1 before.
+    for i, text in enumerate(("g 0 fork 1 1/0\nd 1 0 1 0\n",
+                              "g 0 fork 1 1/2\nd 1/0 0 1 0\n")):
+        path = tmp_path / f"bad{i}.dump"
+        path.write_text("wcflobdd 1 rational\n" + text)
+        for argv in (("validate", path), ("eval", path, "1"),
+                     ("export", path), ("op", "mul", path, "ONE_1"),
+                     ("sample", path, "--seed", "1")):
+            out = subprocess.run(
+                [sys.executable, "-m", "wcflobdd.cli", *map(str, argv)],
+                capture_output=True, text=True)
+            assert out.returncode == 2, (argv, out.stderr)
+            assert out.stderr.startswith("error: dump line"), out.stderr
+            assert "zero denominator" in out.stderr, out.stderr
 
 
 def test_bench_json_agrees_with_csv():

@@ -32,6 +32,23 @@ def test_internal_interning():
     assert g1.level == 1
 
 
+def test_join_numbers_exits_by_first_occurrence():
+    f = Forest(rational_field())
+    a = f.fork(ONE, ONE)
+    b1, b2 = f.fork(ONE, Fraction(2)), f.fork(ONE, Fraction(3))
+    g, labels = f.join(a, [(b1, ("q", "p")), (b2, ("r", "p"))])
+    assert labels == ("q", "p", "r")
+    assert g.b_return_tuples == ((1, 2), (3, 2))
+    assert g is f.internal(a, (b1, b2), ((1, 2), (3, 2)))
+    # Labels are compared through the key: 1.0 + 1e-12 keys as 1.0.
+    fl = Forest(real_field())
+    a, dc, fk = fl.fork(1.0, 1.0), fl.dontcare(1.0, 1.0), fl.fork(1.0, 2.0)
+    g, labels = fl.join(a, [(dc, (1.0,)), (fk, (1.0 + 1e-12, 2.0))],
+                        fl.field.key)
+    assert labels == (1.0, 2.0)
+    assert g is fl.internal(a, (dc, fk), ((1,), (1, 2)))
+
+
 def test_internal_rejects_malformed():
     f = Forest(rational_field())
     a = f.fork(ONE, ONE)

@@ -1,7 +1,7 @@
-"""Forest memory: weakly held unique tables and computed-table drops.
+"""Forest memory: weakly held unique tables and memo-table drops.
 
 A forest keeps a grouping or diagram only while something outside its
-unique tables reaches it, and drops its computed tables each time the
+unique tables reaches it, and drops all its memo tables each time the
 live grouping count doubles past a floor.  Handles that are held must
 stay canonical across a drop, and the live count must follow what is
 alive rather than the number of operations run.
@@ -14,9 +14,10 @@ import pytest
 
 from wcflobdd.construct import (fold, hadamard_family, identity_matrix,
                                 unfold)
-from wcflobdd.core import _COMPUTED, _DROP_FLOOR, Forest, validate
+from wcflobdd.core import _DROP_FLOOR, Forest, validate
 from wcflobdd.matrix import kronecker, matrix_multiply
 from wcflobdd.pointwise import add, multiply, subtract
+from wcflobdd.quantum import ghz, measure, quantum_forest, run_circuit
 from wcflobdd.semifield import field_by_name
 
 import oracle
@@ -37,13 +38,12 @@ def _table(rng, instance, level=3):
 
 
 def _computed_entries(forest):
-    caches = forest.stats()["caches"]
-    return sum(caches.get(name, 0) for name in _COMPUTED)
+    return sum(forest.stats()["caches"].values())
 
 
 def _churn_until_a_drop(forest, instance, rng):
     """Multiply seeded level-3 operands, dropping the results, until the
-    computed tables shrink."""
+    memo tables shrink."""
     before = _computed_entries(forest)
     for _ in range(200):
         multiply(fold(forest, _table(rng, instance)),
@@ -52,7 +52,7 @@ def _churn_until_a_drop(forest, instance, rng):
         if now < before:
             return
         before = now
-    raise AssertionError("no drop of the computed tables")
+    raise AssertionError("no drop of the memo tables")
 
 
 def _close(got, want, instance):
@@ -124,3 +124,32 @@ def test_hadamard_identities_hold_after_a_drop(instance):
         assert square is identity_matrix(forest, level), level
         assert square.factor == one, level
         assert subtract(h, h) is forest.zero_diagram(level), level
+
+
+def test_gate_and_sampling_tables_drop_with_the_rest():
+    # They used to stay until clear_caches: gate_blocks held every gate
+    # matrix a circuit had built.
+    forest = quantum_forest()
+
+    def entries():
+        # The rows of a complex state's measure_view sit in the
+        # companion forest of squared magnitudes.
+        caches = forest.stats()["caches"]
+        return (caches.get("gate_blocks", 0), caches.get("measure_view", 0),
+                forest.measure_forest.stats()["caches"].get("sample_cdf", 0))
+
+    state = run_circuit(ghz(256), forest)
+    counts = measure(state, 200, seed=5)
+    assert all(entries()), entries()
+    _churn_until_a_drop(forest, "complex", random.Random("lifetime"))
+    assert entries() == (0, 0, 0)
+    assert run_circuit(ghz(256), forest).diagram is state.diagram
+    assert measure(state, 200, seed=5) == counts
+
+
+def test_a_wide_circuit_ends_under_the_drop_floor():
+    # GHZ-4096 left 9,861 live groupings while gate_blocks kept its own.
+    forest = quantum_forest()
+    state = run_circuit(ghz(4096), forest)
+    assert forest.stats()["groupings"] <= _DROP_FLOOR
+    assert abs(abs(state.diagram.factor) ** 2 - 0.5) < 1e-12

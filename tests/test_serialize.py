@@ -118,6 +118,20 @@ def test_load_rejects_non_finite_weights():
             load_diagram(text)
 
 
+def test_load_rejects_a_zero_denominator():
+    # Fraction("1/0") raised ZeroDivisionError through the loader, which
+    # named no line.
+    good = "wcflobdd 1 rational\ng 0 fork 1 1/2\nd 1 0 1 0\n"
+    assert unfold(load_diagram(good)) == [1, 0]
+    for index, bad in ((1, "g 0 fork 1 1/0"), (2, "d 1/0 0 1 0"),
+                       (2, "d 1 0 -3/0 0")):
+        lines = good.splitlines()
+        lines[index] = bad
+        with pytest.raises(ValueError, match=f"line {index + 1}:.*zero "
+                                             "denominator"):
+            load_diagram("\n".join(lines) + "\n")
+
+
 def test_cli_rejects_non_finite_dumps(tmp_path):
     # A real dump with an inf factor and a nan leaf used to validate as
     # ok and evaluate to inf.
