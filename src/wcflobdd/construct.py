@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from .core import (Diagram, Forest, _checked_diagram, _one_middle,
                    is_zero_diagram)
-from .semifield import Pow2, RationalSemifield
 
 __all__ = [
     "fold",
@@ -101,37 +100,41 @@ def unfold(diagram: Diagram):
     A float or complex value out of range raises OverflowError, as in
     ``evaluate``.
     """
-    forest = diagram.forest
-    field = forest.field
+    field = diagram.forest.field
     mul = field.mul
-    memo = {}
-
-    def paths(g):
-        """(exit, path weight) of ``g`` per assignment, in order."""
-        if g.level == 0:
-            yield g.branch(0)
-            yield g.branch(1)
-            return
-        for a_exit, a_weight in memo_paths(g.a_connection):
-            rt = g.b_return_tuples[a_exit - 1]
-            for b_exit, b_weight in memo_paths(g.b_connections[a_exit - 1]):
-                yield rt[b_exit - 1], mul(a_weight, b_weight)
-
-    def memo_paths(g):
-        hit = memo.get(g)
-        if hit is None:
-            hit = memo[g] = tuple(paths(g))
-        return hit
-
     # The head's path list would be as long as the output, so it is
     # walked rather than memoized. The products keep evaluate's order.
     factor, values = diagram.factor, diagram.values
     out = [mul(factor, mul(w, values[e - 1]))
-           for e, w in paths(diagram.head)]
+           for e, w in _paths(diagram.head, mul, {})]
     if not all(map(field.is_finite, out)):
         raise OverflowError(f"a value of the level-{diagram.level} diagram "
                             "is out of float range")
     return out
+
+
+# Module-level, not closures: nested functions that call each other form
+# a reference cycle, which would keep the memo and every grouping it
+# names alive until the cyclic collector runs.
+def _paths(g, mul, memo):
+    """(exit, path weight) of ``g`` per assignment, in order; the path
+    lists of ``g``'s connections are tabled in ``memo``."""
+    if g.level == 0:
+        yield g.branch(0)
+        yield g.branch(1)
+        return
+    for a_exit, a_weight in _memo_paths(g.a_connection, mul, memo):
+        rt = g.b_return_tuples[a_exit - 1]
+        for b_exit, b_weight in _memo_paths(g.b_connections[a_exit - 1],
+                                            mul, memo):
+            yield rt[b_exit - 1], mul(a_weight, b_weight)
+
+
+def _memo_paths(g, mul, memo):
+    hit = memo.get(g)
+    if hit is None:
+        hit = memo[g] = tuple(_paths(g, mul, memo))
+    return hit
 
 
 def scalar_multiply(scalar, diagram: Diagram) -> Diagram:
@@ -147,43 +150,34 @@ def scalar_multiply(scalar, diagram: Diagram) -> Diagram:
 # -- named families -------------------------------------------------------
 
 
-def _exp_leaf_weight(field, place: int):
-    if isinstance(field, RationalSemifield):
-        return Pow2.make(1 << place)
-    # Floating instances overflow past place 9; the error surfaces
-    # rather than folding distinct leaves into a shared inf.
-    return field.add(field.one, field.one) ** (1 << place)
-
-
 def exp_family(forest: Forest, n: int) -> Diagram:
     """The function 2**BinaryValue(x_{n-1} .. x_0) over n variables.
 
     The leftmost assignment bit is the most significant. Weights grow
     as 2^(2^i), so only the exact-rational instance can represent the
-    family at interesting sizes.
+    family at interesting sizes; a floating instance raises
+    OverflowError from 16 variables, where 2^1024 leaves its range.
     """
     if n < 1 or n & (n - 1):
         raise ValueError(f"variable count {n} is not a power of two")
+    one = forest.field.one
+    head = _exp_proto(forest, n.bit_length() - 1, 0)
+    return forest._hold(forest.diagram(one, head, (one,)))
+
+
+def _exp_proto(forest, level, place):
+    """Grouping of 2**(2**place * BinaryValue(x)) over the 2**level
+    variables x of a level-``level`` grouping.  Each (level, place) is
+    reached once, so nothing is memoized."""
     field = forest.field
-    memo = {}
-
-    def proto(level, place):
-        key = (level, place)
-        g = memo.get(key)
-        if g is None:
-            if level == 0:
-                g = forest.dontcare(field.one, _exp_leaf_weight(field, place))
-            else:
-                a = proto(level - 1, place + (1 << (level - 1)))
-                b = proto(level - 1, place)
-                g = forest.internal(a, (b,), ((1,),))
-            g.canonical = True
-            memo[key] = g
-        return g
-
-    level = n.bit_length() - 1
-    head = proto(level, 0)
-    return forest._hold(forest.diagram(field.one, head, (field.one,)))
+    if level == 0:
+        g = forest.dontcare(field.one, field.power_of_two(1 << place))
+    else:
+        a = _exp_proto(forest, level - 1, place + (1 << (level - 1)))
+        g = forest.internal(a, (_exp_proto(forest, level - 1, place),),
+                            ((1,),))
+    g.canonical = True
+    return g
 
 
 def _folded(*cells):
@@ -223,9 +217,7 @@ def hadamard_family(forest: Forest, l: int) -> Diagram:
     factor 2^-2048 underflows to 0.0 and OverflowError is raised.
     """
     field = forest.field
-    if isinstance(field, RationalSemifield):
-        raise ValueError("1/sqrt(2) is irrational; see walsh_family")
-    factor = field.mul(field.one, 2 ** -0.5)
+    factor = field.sqrt_half()
     for _ in range(l - 1):
         factor = field.mul(factor, factor)
     return forest._hold(_checked_diagram(

@@ -583,22 +583,24 @@ def reachable_groupings(head: Grouping) -> list:
     the A-connection before the B-connections in middle order, so
     reversing the list gives children before parents.
     """
-    seen = set()
     order = []
-
-    def walk(g):
-        if g in seen:
-            return
-        seen.add(g)
-        if g.level > 0:
-            walk(g.a_connection)
-            for b in g.b_connections:
-                walk(b)
-        order.append(g)
-
-    walk(head)
+    _postorder(head, set(), order)
     order.reverse()
     return order
+
+
+def _postorder(g, seen, order):
+    # Module-level, not a closure: a nested function that calls itself
+    # is a reference cycle, which would keep ``seen`` and every
+    # grouping in it alive until the cyclic collector runs.
+    if g in seen:
+        return
+    seen.add(g)
+    if g.level > 0:
+        _postorder(g.a_connection, seen, order)
+        for b in g.b_connections:
+            _postorder(b, seen, order)
+    order.append(g)
 
 
 class SizeReport(NamedTuple):

@@ -38,7 +38,6 @@ rebuild at any offset runs the same operations on the same handles in
 the same order, so it interns the handle a dropped entry held.
 """
 
-import cmath
 import math
 import operator
 
@@ -49,7 +48,7 @@ from .construct import (_fold, _folded, _identity_step, fold, hadamard_family,
 from .matrix import apply_matrix_to_vector, kronecker, matrix_multiply
 from .pointwise import subtract
 from .sampling import SampleContext, _draw, _target_row
-from .semifield import ComplexSemifield, complex_field
+from .semifield import complex_field
 
 __all__ = [
     "Circuit",
@@ -121,11 +120,8 @@ def _zero_ket(forest, width):
 
 def _phase(forest, theta):
     field = forest.field
-    if not isinstance(field, ComplexSemifield):
-        raise ValueError(f"a phase needs the complex instance, not "
-                         f"{field.name}")
     return fold(forest, [field.one, field.zero, field.zero,
-                         cmath.exp(1j * theta)])
+                         field.phase(theta)])
 
 
 # kind -> (angle count, qubit count, its one-qubit factor from

@@ -48,7 +48,6 @@ import random
 from bisect import bisect_right
 
 from .core import Diagram, Forest, Grouping, _checked_diagram
-from .semifield import Pow2
 
 __all__ = [
     "SampleContext",
@@ -166,24 +165,13 @@ def _target_row(diagram, view=False):
         head = _view(forest, head)
         forest = forest.measure_forest
     else:
-        _require_nonneg(diagram.factor)
+        field.check_sampleable(diagram.factor)
     row = _rows(forest, head)[target]
     # Exact comparison: branch probabilities are ratios, so a total far
     # below the rounding key's resolution still defines a distribution.
     if row.cumulative[-1] == forest.field.zero:
         raise ValueError("total path weight is zero")
     return row
-
-
-def _require_nonneg(w):
-    if isinstance(w, Pow2):  # always positive, and not comparable with 0
-        return
-    if isinstance(w, complex):
-        raise ValueError("sampling needs a real-weight view; "
-                         "use measure_view first")
-    if w < 0:
-        raise ValueError("sampling needs nonnegative weights; "
-                         "use measure_view first")
 
 
 def _plain(row):
@@ -207,8 +195,8 @@ def _rows(forest, g):
         return hit
     field = forest.field
     if g.level == 0:
-        _require_nonneg(g.lw)
-        _require_nonneg(g.rw)
+        field.check_sampleable(g.lw)
+        field.check_sampleable(g.rw)
         if g.number_of_exits == 2:
             rows = (_row(field, ("0",), [g.lw], 0),
                     _row(field, ("1",), [g.rw], 0))
@@ -264,7 +252,7 @@ def _row(field, draws, cumulative, exp):
     try:
         bounds = [_ceiling(c) for c in cumulative]
         scale = float(cumulative[-1])
-    except (OverflowError, TypeError):  # too large, or a Pow2
+    except (OverflowError, TypeError):  # too large, or a symbolic power of two
         bounds = scale = None
     return _Row(draws, cumulative, exp, bounds, scale)
 

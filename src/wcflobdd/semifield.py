@@ -18,18 +18,25 @@ and, on a floating instance, rejects with ValueError when not finite.
 
 Floating instances use a rounded *canonical key* for hashing and
 equality so that values differing only by accumulated rounding noise
-intern to the same node. A key rounds to a fixed number of decimal
-places (not significant digits): 10 by default, set per instance or
-through the ``WCFLOBDD_ROUNDING_DIGITS`` environment variable, and
-always a positive integer. Exact 0 and 1, which are most of the weights
-a diagram carries, key without rounding to one shared object each.
+intern to the same node. A key rounds to 10 decimal places (not
+significant digits); ``format_rounded`` shows 10 significant digits.
+Exact 0 and 1, which are most of the weights a diagram carries, key
+without rounding to one shared object each.
+
+The engine reaches an instance only through the methods of
+:class:`Semifield`: the arithmetic (``add``, ``mul``, ``inv``), keys
+and their ``is_zero``/``is_one`` tests, ``is_finite``, ``abs2`` and
+``measure_field`` for measurement, the weight text, and four calls for
+what an instance can represent: ``power_of_two`` (the EXP family's
+weights), ``sqrt_half`` (the Hadamard factor), ``phase`` (a unit
+complex weight) and ``check_sampleable`` (a weight that sampling may
+sum). Each raises where its instance cannot hold the value.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
 from fractions import Fraction
 
 __all__ = [
@@ -42,10 +49,10 @@ __all__ = [
     "real_field",
     "complex_field",
     "field_by_name",
-    "DEFAULT_ROUNDING_DIGITS",
 ]
 
-DEFAULT_ROUNDING_DIGITS = 10
+# Decimal places a floating key keeps.
+_KEY_DIGITS = 10
 
 # Largest exponent for which 2**e is materialized as a Fraction. Above
 # this, exact powers of two stay symbolic (see Pow2). 2**65536 is an
@@ -106,28 +113,6 @@ def _finite(text: str) -> float:
     return x
 
 
-def _digits(rounding_digits) -> int:
-    """The rounding width: the argument, else the environment's."""
-    if rounding_digits is not None:
-        if (isinstance(rounding_digits, int)
-                and not isinstance(rounding_digits, bool)
-                and rounding_digits > 0):
-            return rounding_digits
-        raise ValueError("rounding_digits must be a positive integer, "
-                         f"got {rounding_digits!r}")
-    raw = os.environ.get("WCFLOBDD_ROUNDING_DIGITS")
-    if not raw:
-        return DEFAULT_ROUNDING_DIGITS
-    try:
-        digits = int(raw)
-        if digits > 0:
-            return digits
-    except ValueError:
-        pass
-    raise ValueError("WCFLOBDD_ROUNDING_DIGITS must be a positive integer, "
-                     f"got {raw!r}")
-
-
 class Semifield:
     """Abstract scalar domain.
 
@@ -186,6 +171,30 @@ class Semifield:
     def format_rounded(self, a) -> str:
         """Display form rounded to the canonical-key width."""
         return self.format(a)
+
+    def power_of_two(self, exponent: int):
+        """2**exponent; OverflowError when the carrier cannot hold it."""
+        try:
+            return self.add(self.one, self.one) ** exponent
+        except OverflowError:
+            raise OverflowError(f"2**{exponent} is out of float range") \
+                from None
+
+    def sqrt_half(self):
+        """1/sqrt(2), the Hadamard factor."""
+        return self.mul(self.one, 2 ** -0.5)
+
+    def phase(self, theta: float):
+        """e^(i theta); ValueError unless the instance is complex."""
+        raise ValueError(f"a phase needs the complex instance, not "
+                         f"{self.name}")
+
+    def check_sampleable(self, w):
+        """ValueError unless sampling may sum ``w``: a negative weight
+        could cancel."""
+        if w < 0:
+            raise ValueError("sampling needs nonnegative weights; "
+                             "use measure_view first")
 
     def __repr__(self):
         return f"<semifield {self.name}>"
@@ -265,6 +274,16 @@ class RationalSemifield(Semifield):
     def abs2(self, a):
         return self.mul(a, a)
 
+    def power_of_two(self, exponent: int):
+        return Pow2.make(exponent)
+
+    def sqrt_half(self):
+        raise ValueError("1/sqrt(2) is irrational; see walsh_family")
+
+    def check_sampleable(self, w):
+        if not isinstance(w, Pow2):  # always positive, not comparable with 0
+            Semifield.check_sampleable(self, w)
+
     def parse(self, text: str):
         if "^" in text:
             base, _, expo = text.partition("^")
@@ -296,13 +315,10 @@ class RealSemifield(Semifield):
     one = 1.0
     minus_one = -1.0
 
-    # Exact 0 and 1 key to these without rounding; with a positive
-    # width, rounding would give equal keys.
+    # Exact 0 and 1 key to these without rounding; rounding would give
+    # equal keys.
     _zero_key = 0.0
     _one_key = 1.0
-
-    def __init__(self, rounding_digits: int | None = None):
-        self.rounding_digits = _digits(rounding_digits)
 
     def key(self, a):
         a = float(a)
@@ -310,7 +326,7 @@ class RealSemifield(Semifield):
             return self._zero_key
         if a == 1.0:
             return self._one_key
-        return round(a, self.rounding_digits) + 0.0  # merge -0.0 with 0.0
+        return round(a, _KEY_DIGITS) + 0.0  # merge -0.0 with 0.0
 
     # A builtin, not a method: unfold checks every value it returns.
     is_finite = staticmethod(math.isfinite)
@@ -325,7 +341,7 @@ class RealSemifield(Semifield):
         return repr(float(a))
 
     def format_rounded(self, a) -> str:
-        return "%.*g" % (self.rounding_digits, float(a))
+        return "%.*g" % (_KEY_DIGITS, float(a))
 
 
 class ComplexSemifield(Semifield):
@@ -341,11 +357,9 @@ class ComplexSemifield(Semifield):
     _zero_key = (0.0, 0.0)
     _one_key = (1.0, 0.0)
 
-    def __init__(self, rounding_digits: int | None = None):
-        self.rounding_digits = _digits(rounding_digits)
-
-    def _round1(self, x: float) -> float:
-        return round(x, self.rounding_digits) + 0.0
+    @staticmethod
+    def _round1(x: float) -> float:
+        return round(x, _KEY_DIGITS) + 0.0
 
     def key(self, a):
         c = complex(a)
@@ -363,7 +377,16 @@ class ComplexSemifield(Semifield):
         return c.real * c.real + c.imag * c.imag
 
     def measure_field(self) -> Semifield:
-        return real_field(self.rounding_digits)
+        return _REAL
+
+    def phase(self, theta: float):
+        return cmath.exp(1j * theta)
+
+    def check_sampleable(self, w):
+        if isinstance(w, complex):
+            raise ValueError("sampling needs a real-weight view; "
+                             "use measure_view first")
+        Semifield.check_sampleable(self, w)
 
     def parse(self, text: str):
         re_part, im_part = map(_finite, text.split(","))
@@ -376,47 +399,36 @@ class ComplexSemifield(Semifield):
     def format_rounded(self, a) -> str:
         c = complex(a)
         if self._round1(c.imag) == 0.0:
-            return "%.*g" % (self.rounding_digits, c.real)
+            return "%.*g" % (_KEY_DIGITS, c.real)
         if self._round1(c.real) == 0.0:
-            return "%.*gi" % (self.rounding_digits, c.imag)
+            return "%.*gi" % (_KEY_DIGITS, c.imag)
         sign = "+" if c.imag >= 0 else ""
-        return "%.*g%s%.*gi" % (
-            self.rounding_digits,
-            c.real,
-            sign,
-            self.rounding_digits,
-            c.imag,
-        )
+        return "%.*g%s%.*gi" % (_KEY_DIGITS, c.real, sign, _KEY_DIGITS,
+                                c.imag)
 
 
 _RATIONAL = RationalSemifield()
-_REAL_CACHE: dict[int, RealSemifield] = {}
-_COMPLEX_CACHE: dict[int, ComplexSemifield] = {}
+_REAL = RealSemifield()
+_COMPLEX = ComplexSemifield()
 
 
 def rational_field() -> RationalSemifield:
     return _RATIONAL
 
 
-def real_field(rounding_digits: int | None = None) -> RealSemifield:
-    digits = _digits(rounding_digits)
-    if digits not in _REAL_CACHE:
-        _REAL_CACHE[digits] = RealSemifield(digits)
-    return _REAL_CACHE[digits]
+def real_field() -> RealSemifield:
+    return _REAL
 
 
-def complex_field(rounding_digits: int | None = None) -> ComplexSemifield:
-    digits = _digits(rounding_digits)
-    if digits not in _COMPLEX_CACHE:
-        _COMPLEX_CACHE[digits] = ComplexSemifield(digits)
-    return _COMPLEX_CACHE[digits]
+def complex_field() -> ComplexSemifield:
+    return _COMPLEX
 
 
-def field_by_name(name: str, rounding_digits: int | None = None) -> Semifield:
+def field_by_name(name: str) -> Semifield:
     if name == "rational":
-        return rational_field()
+        return _RATIONAL
     if name == "real" or name == "float":
-        return real_field(rounding_digits)
+        return _REAL
     if name == "complex":
-        return complex_field(rounding_digits)
+        return _COMPLEX
     raise ValueError(f"unknown semifield instance: {name!r}")

@@ -13,7 +13,9 @@ the ``gate_blocks`` and grouping counts of three circuits and the
 entry count of each memo table after each, seeded sample streams with
 their path totals and error messages, the float and complex canonical
 keys of edge and seeded values, and CLI output with ``time_s`` removed
-from bench rows.  Run it on two checkouts and ``diff`` the outputs:
+from bench rows.  Table counts are read after ``gc.collect()``, so no
+line depends on when the cyclic collector ran.  Run it on two checkouts
+and ``diff`` the outputs:
 
     python3 tests/identity_check.py > after.txt
     python3 tests/identity_check.py /path/to/other/checkout/src > before.txt
@@ -24,6 +26,7 @@ checked; it defaults to the one next to this file.  Not collected by
 pytest (the name does not start with ``test_``).
 """
 
+import gc
 import hashlib
 import io
 import json
@@ -99,6 +102,7 @@ def _reload(d):
 
 
 def _counts(forest):
+    gc.collect()  # counts must not depend on when the collector ran
     stats = forest.stats()
     return f"{stats['groupings']} {stats['diagrams']}"
 
@@ -227,6 +231,7 @@ def gates():
                            ("GHZ-4096", quantum.ghz(4096))):
         forest = quantum.quantum_forest()
         wc.run_circuit(circuit, forest)
+        gc.collect()
         stats = forest.stats()
         emit(f"gate_blocks/{label}",
              f"{stats['caches'].get('gate_blocks', 0)} {stats['groupings']}")
@@ -289,11 +294,10 @@ def keys():
             rng.uniform(-scale, scale)
         y = rng.choice((0.0, -0.0, x, rng.uniform(-1, 1)))
         values.append(x if rng.random() < 0.4 else complex(x, y))
-    for digits in (None, 6):
-        for name in ("float", "complex"):
-            field = wc.field_by_name(name, digits)
-            emit(f"key/{name}/{digits or 'default'}",
-                 "\n".join(_outcome(field.key, v) for v in values))
+    for name in ("float", "complex"):
+        field = wc.field_by_name(name)
+        emit(f"key/{name}/default",
+             "\n".join(_outcome(field.key, v) for v in values))
 
 
 def _cli(*argv):

@@ -109,6 +109,14 @@ def test_eval_worked_values():
     run_cli("eval", "H_2", "111", expect=2)
 
 
+def test_float_exp_overflow_is_an_error():
+    out = subprocess.run([sys.executable, "-m", "wcflobdd.cli", "eval",
+                          "EXP_16", "0" * 16, "--instance", "float"],
+                         capture_output=True, text=True)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == "error: 2**32768 is out of float range\n"
+
+
 def test_validate_ok():
     out = run_cli("validate", "W_4")
     assert out.strip() == "ok"

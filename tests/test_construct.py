@@ -177,11 +177,26 @@ def test_walsh_entries():
 
 
 def test_hadamard_needs_roots():
-    try:
+    with pytest.raises(ValueError, match=r"1/sqrt\(2\) is irrational"):
         hadamard_family(F, 1)
-        assert False, "1/sqrt(2) is not rational"
-    except ValueError:
-        pass
+
+
+@pytest.mark.parametrize("field", [real_field(), complex_field()],
+                         ids=["float", "complex"])
+def test_floating_exp_family_is_the_fold_of_two_to_the_x(field):
+    forest = Forest(field)
+    d = exp_family(forest, 8)
+    assert d is fold(forest, [field.one * 2.0 ** x for x in range(256)])
+    assert validate(d) == []
+
+
+@pytest.mark.parametrize("field", [real_field(), complex_field()],
+                         ids=["float", "complex"])
+def test_floating_exp_family_overflow_names_the_power(field):
+    # The highest place is built first.
+    with pytest.raises(OverflowError, match=r"^2\*\*32768 is out of float "
+                       "range$"):
+        exp_family(Forest(field), 16)
 
 
 def test_hadamard_entries_and_sharing():

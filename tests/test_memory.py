@@ -7,6 +7,7 @@ stay canonical across a drop, and the live count must follow what is
 alive rather than the number of operations run.
 """
 
+import gc
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ import pytest
 
 from wcflobdd.construct import (fold, hadamard_family, identity_matrix,
                                 unfold)
-from wcflobdd.core import _DROP_FLOOR, Forest, validate
+from wcflobdd.core import _DROP_FLOOR, Forest, size, validate
 from wcflobdd.matrix import kronecker, matrix_multiply
 from wcflobdd.pointwise import add, multiply, subtract
 from wcflobdd.quantum import ghz, measure, quantum_forest, run_circuit
@@ -153,3 +154,24 @@ def test_a_wide_circuit_ends_under_the_drop_floor():
     state = run_circuit(ghz(4096), forest)
     assert forest.stats()["groupings"] <= _DROP_FLOOR
     assert abs(abs(state.diagram.factor) ** 2 - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize("walk", [size, unfold], ids=["size", "unfold"])
+def test_walks_leave_no_reference_cycles(walk):
+    # A walk that left a reference cycle would keep the groupings of a
+    # dropped result alive until the cyclic collector ran.
+    forest = Forest(field_by_name("rational"))
+    rng = random.Random("cycles")
+    a, b = fold(forest, _table(rng, "rational", 2)), \
+        fold(forest, _table(rng, "rational", 2))
+    gc.disable()
+    try:
+        result = multiply(a, b)
+        walk(result)
+        forest.clear_caches()
+        del result
+        live = forest.stats()["groupings"]
+        gc.collect()
+        assert forest.stats()["groupings"] == live
+    finally:
+        gc.enable()

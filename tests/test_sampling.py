@@ -149,15 +149,16 @@ def test_sampling_rejects_zero_diagram():
 def test_sampling_rejects_negative_weights():
     # Walsh entries are +-1; cancellation inside the weight sums would
     # silently misreport the distribution, so this must raise instead.
-    # Complex amplitudes need measure_view first.
+    # Complex amplitudes need measure_view first. The float cases are a
+    # negative leaf weight, then a negative factor over positive leaves.
     fc = Forest(complex_field())
-    for d in (walsh_family(F, 1), walsh_family(F, 3),
-              fold(fc, [0.5j, 0.5, 0.5, 0.5])):
-        try:
+    for d, message in ((walsh_family(F, 1), "nonnegative"),
+                       (walsh_family(F, 3), "nonnegative"),
+                       (fold(fc, [0.5j, 0.5, 0.5, 0.5]), "real-weight view"),
+                       (fold(FL, [0.5, -0.5, 0.5, 0.5]), "nonnegative"),
+                       (fold(FL, [-0.5, -0.25, -0.5, -0.5]), "nonnegative")):
+        with pytest.raises(ValueError, match=message):
             sample_assignment(d, SampleContext(1))
-            assert False, d
-        except ValueError:
-            pass
 
 
 def test_compute_weights_rejects_signed_weights():

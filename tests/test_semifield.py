@@ -1,16 +1,12 @@
 """Axioms and textual behavior of the three scalar domains."""
 
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 
-from wcflobdd.semifield import (ComplexSemifield, Pow2, RealSemifield,
-                                complex_field, field_by_name, rational_field,
-                                real_field)
+from wcflobdd.semifield import (Pow2, complex_field, field_by_name,
+                                rational_field, real_field)
 
 FR = rational_field()
 FL = real_field()
@@ -70,62 +66,23 @@ def test_zero_one_keys():
 
 
 def test_float_key_rounds():
-    f = real_field(6)
-    assert f.key(0.1234567891) == f.key(0.1234567894)
-    assert f.key(1.0) != f.key(1.00001)
+    # Keys keep 10 decimal places.
+    assert FL.key(0.12345678901) == FL.key(0.12345678904)
+    assert FL.key(1.0) != FL.key(1.0000000001)
 
 
 def test_complex_key_rounds_both_parts():
-    f = complex_field(6)
-    assert f.key(1e-13 + 1j) == f.key(0 + 1j)
-    assert f.key(1 + 2j) != f.key(1 + 2.0001j)
-
-
-def test_env_var_overrides_digits():
-    code = ("from wcflobdd.semifield import real_field; "
-            "f = real_field(); "
-            "print(f.key(0.12341) == f.key(0.12342))")
-    env = dict(os.environ, WCFLOBDD_ROUNDING_DIGITS="4")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "True", out.stderr
-
-
-def test_env_var_rejects_invalid_digits():
-    for raw in ("abc", "0", "-3"):
-        env = dict(os.environ, WCFLOBDD_ROUNDING_DIGITS=raw)
-        out = subprocess.run(
-            [sys.executable, "-m", "wcflobdd.cli", "eval", "H_2", "00"],
-            env=env, capture_output=True, text=True)
-        assert out.returncode == 2, (raw, out.stdout, out.stderr)
-        assert out.stderr.startswith("error: WCFLOBDD_ROUNDING_DIGITS"), \
-            out.stderr
-        assert repr(raw) in out.stderr, out.stderr
-    env = dict(os.environ, WCFLOBDD_ROUNDING_DIGITS="")
-    out = subprocess.run(
-        [sys.executable, "-m", "wcflobdd.cli", "eval", "H_2", "00"],
-        env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-
-
-def test_nonpositive_rounding_digits_are_rejected():
-    makers = (real_field, complex_field, RealSemifield, ComplexSemifield,
-              lambda d: field_by_name("float", d),
-              lambda d: field_by_name("complex", d))
-    for digits in (0, -1, -10):
-        for make in makers:
-            with pytest.raises(ValueError, match=repr(digits)):
-                make(digits)
-    assert real_field(1).is_zero(0.04) and not real_field(1).is_zero(1.0)
+    assert FC.key(1e-13 + 1j) == FC.key(0 + 1j)
+    assert FC.key(1 + 2j) != FC.key(1 + 2.0000000001j)
+    assert FC.key(2.00000000001 + 1j) == FC.key(2 + 1j)
 
 
 def _rounded_key(field, a):
-    """The key as rounding alone makes it, with no shortcut."""
-    d = field.rounding_digits
+    """The key as rounding to 10 places alone makes it, with no shortcut."""
     if field.name == "real":
-        return round(float(a), d) + 0.0
+        return round(float(a), 10) + 0.0
     c = complex(a)
-    return (round(c.real, d) + 0.0, round(c.imag, d) + 0.0)
+    return (round(c.real, 10) + 0.0, round(c.imag, 10) + 0.0)
 
 
 KEY_EDGE_VALUES = (0.0, -0.0, 0j, complex(-0.0, -0.0), complex(1, -0.0),
@@ -134,13 +91,12 @@ KEY_EDGE_VALUES = (0.0, -0.0, 0j, complex(-0.0, -0.0), complex(1, -0.0),
 
 
 def test_exact_constant_keys_equal_the_rounded_keys():
-    for digits in (10, 6):
-        for field in (real_field(digits), complex_field(digits)):
-            for v in KEY_EDGE_VALUES:
-                if field.name == "real" and isinstance(v, complex):
-                    continue
-                assert repr(field.key(v)) == repr(_rounded_key(field, v)), \
-                    (field, v)
+    for field in (FL, FC):
+        for v in KEY_EDGE_VALUES:
+            if field.name == "real" and isinstance(v, complex):
+                continue
+            assert repr(field.key(v)) == repr(_rounded_key(field, v)), \
+                (field, v)
     assert FC.key(complex(-0.0, 0.0)) is FC._zero_key
     assert FC.key(Fraction(1)) is FC._one_key
     assert FL.key(-0.0) is FL._zero_key
@@ -217,9 +173,11 @@ def test_abs2_and_measure_field():
 
 
 def test_field_by_name():
-    assert field_by_name("rational") is not None
-    assert field_by_name("float").name == "real"
-    assert field_by_name("complex").name == "complex"
+    # One instance per name: the floating instances are singletons too.
+    assert field_by_name("rational") is FR
+    assert real_field() is field_by_name("float") is field_by_name("real")
+    assert real_field() is complex_field().measure_field()
+    assert complex_field() is field_by_name("complex")
     try:
         field_by_name("octonion")
         assert False
