@@ -78,9 +78,11 @@ def fold(forest: Forest, values) -> Diagram:
     """
     field = forest.field
     zero, one = field.zero, field.one
-    # Values that key as zero fold as the exact zero, so a float table
-    # holding 1e-12 or -0.0 folds like the one holding 0.
-    values = [zero if field.is_zero(v) else v for v in values]
+    # Leaves become carrier values, so the factor is one too, and those
+    # that key as zero fold as the exact zero: a float table holding
+    # 1e-12 or -0.0 folds like the one holding 0.
+    values = [zero if field.is_zero(v) else v
+              for v in map(field.coerce, values)]
     for v in values:
         if not field.is_finite(v):
             raise ValueError(f"leaf value {v!r} is not finite")
@@ -101,12 +103,23 @@ def unfold(diagram: Diagram):
     ``evaluate``.
     """
     field = diagram.forest.field
-    mul = field.mul
-    # The head's path list would be as long as the output, so it is
-    # walked rather than memoized. The products keep evaluate's order.
-    factor, values = diagram.factor, diagram.values
-    out = [mul(factor, mul(w, values[e - 1]))
-           for e, w in _paths(diagram.head, mul, {})]
+    mul, zero = field.mul, field.zero
+    factor, head = diagram.factor, diagram.head
+    live = [not field.is_zero(v) for v in diagram.values]
+    # Values read (factor x A-half) x B-half, as in evaluate, forming the
+    # first product once per A-path; a 0 value reads as zero.  The head's
+    # own path list would be as long as the output, so it is not tabled.
+    if head.level == 0:
+        rows = [(factor, (1, 2), (head.branch(0), head.branch(1)))]
+    else:
+        memo = {}
+        rows = ((mul(factor, a_weight), head.b_return_tuples[a_exit - 1],
+                 _memo_paths(head.b_connections[a_exit - 1], mul, memo))
+                for a_exit, a_weight in _memo_paths(head.a_connection, mul,
+                                                    memo))
+    out = []
+    for fa, rt, paths in rows:
+        out += [mul(fa, w) if live[rt[e - 1] - 1] else zero for e, w in paths]
     if not all(map(field.is_finite, out)):
         raise OverflowError(f"a value of the level-{diagram.level} diagram "
                             "is out of float range")

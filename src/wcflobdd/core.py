@@ -29,7 +29,9 @@ Weights on level-0 edges and the top-level factor come from a
 semi-field instance owned by the forest. A value tuple assigns a
 terminal weight (0 or 1, all entries distinct) to each head exit, and
 the function computed on an assignment is
-``factor * path_weight * value[exit]``.
+``factor * path_weight * value[exit]``, read back (``evaluate``,
+``unfold``) as ``(factor * A-half weight) * B-half weight`` of the
+head's path, or 0 where ``value[exit]`` is 0.
 
 The ``size`` accounting and the ``validate`` audit live here as well;
 both operate on the set of distinct groupings reachable from a head.
@@ -504,20 +506,19 @@ def collapse_classes_leftmost(items, key=None):
 # -- evaluation ---------------------------------------------------------
 
 
-def _coerce_bits(assignment) -> tuple:
+def _bits(diagram, assignment) -> tuple:
     if isinstance(assignment, str):
-        bits = []
         for ch in assignment:
-            if ch == "0":
-                bits.append(0)
-            elif ch == "1":
-                bits.append(1)
-            else:
+            if ch not in "01":
                 raise ValueError(f"bad assignment character {ch!r}")
-        return tuple(bits)
-    bits = tuple(int(b) for b in assignment)
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("assignment bits must be 0 or 1")
+        bits = tuple(map(int, assignment))
+    else:
+        bits = tuple(int(b) for b in assignment)
+        if any(b not in (0, 1) for b in bits):
+            raise ValueError("assignment bits must be 0 or 1")
+    if len(bits) != diagram.num_variables:
+        raise ValueError(
+            f"expected {diagram.num_variables} bits, got {len(bits)}")
     return bits
 
 
@@ -542,9 +543,19 @@ def evaluate(diagram: Diagram, assignment):
     stored weight is finite, but their product need not be.
     """
     field = diagram.forest.field
-    exit_index, weight = evaluate_exit(diagram, assignment)
-    value = field.mul(diagram.factor,
-                      field.mul(weight, diagram.values[exit_index - 1]))
+    bits = _bits(diagram, assignment)
+    head, n = diagram.head, len(bits)
+    if head.level == 0:
+        e, w = head.branch(bits[0])
+        value = field.mul(diagram.factor, w)
+    else:
+        a_exit, a_w = _eval_grouping(field, head.a_connection, bits, 0, n // 2)
+        b_exit, b_w = _eval_grouping(field, head.b_connections[a_exit - 1],
+                                     bits, n // 2, n)
+        e = head.b_return_tuples[a_exit - 1][b_exit - 1]
+        value = field.mul(field.mul(diagram.factor, a_w), b_w)
+    if field.is_zero(diagram.values[e - 1]):
+        return field.zero
     if not field.is_finite(value):
         raise OverflowError(f"value {value!r} is out of float range")
     return value
@@ -552,10 +563,7 @@ def evaluate(diagram: Diagram, assignment):
 
 def evaluate_exit(diagram: Diagram, assignment):
     """(exit index, accumulated path weight) of the head on an assignment."""
-    bits = _coerce_bits(assignment)
-    if len(bits) != diagram.num_variables:
-        raise ValueError(
-            f"expected {diagram.num_variables} bits, got {len(bits)}")
+    bits = _bits(diagram, assignment)
     return _eval_grouping(diagram.forest.field, diagram.head, bits, 0,
                           len(bits))
 

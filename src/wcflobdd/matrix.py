@@ -8,8 +8,11 @@ the block structure; below the top level no concrete cell values exist,
 so each product exit carries a bilinear polynomial over the operands'
 exit vertices whose coefficients absorb the summed path weights.  Each
 level merges equal middles into its A-side product as reduce would and
-interns only its result.  The polynomials collapse to numbers only at
-top level, after which a reduce pass restores canonicity.
+interns only its result; at the 2x2 base, the memo tables
+``matrix_cells`` and ``matrix_placeholder`` keep each block's cells and
+the placeholder grouping of each partition of the product cells.  The
+polynomials collapse to numbers only at top level, after which a reduce
+pass restores canonicity.
 
 A level-k diagram is also a vector over the 2^k row bits of a level
 k+1 matrix.  Both A-connections then cover the first half of the rows,
@@ -211,21 +214,27 @@ def _mat_mult_base(forest, g1, g2):
     # Group equal cells; the fold of unit weights labelled by cell class
     # is the placeholder grouping that realizes that partition.
     reps, renumbered = _collapse_bps(field, bps)
-    one = field.one
-    return (_fold(forest, [one] * len(bps), renumbered)[0], reps, one)
+    placeholders = forest.cache("matrix_placeholder")
+    g = placeholders.get(renumbered)
+    if g is None:
+        g = placeholders[renumbered] = _fold(
+            forest, [field.one] * len(bps), renumbered)[0]
+    return (g, reps, field.one)
 
 
 def _cells(forest, g):
-    cells = []
-    for r in (0, 1):
-        mid, aw = g.a_connection.branch(r)
-        b = g.b_connections[mid - 1]
-        rt = g.b_return_tuples[mid - 1]
-        row = []
-        for c in (0, 1):
-            be, bw = b.branch(c)
-            row.append((forest.field.mul(aw, bw), rt[be - 1]))
-        cells.append(row)
+    """(path weight, exit) per row and column of a 2x2 block."""
+    table = forest.cache("matrix_cells")
+    cells = table.get(g)
+    if cells is None:
+        mul = forest.field.mul
+        rows = []
+        for r in (0, 1):
+            mid, aw = g.a_connection.branch(r)
+            rt = g.b_return_tuples[mid - 1]
+            rows.append(tuple((mul(aw, bw), rt[be - 1]) for be, bw in
+                              map(g.b_connections[mid - 1].branch, (0, 1))))
+        cells = table[g] = tuple(rows)
     return cells
 
 
@@ -240,12 +249,14 @@ def _mat_mult_internal(forest, g1, g2):
         for (k1, k2), v in bp_a.items():
             bb, mb, wb = _mat_mult_groupings(forest, g1.b_connections[k1 - 1],
                                              g2.b_connections[k2 - 1])
+            if field.is_zero(wb):
+                continue  # _symbolic_add would drop the term
             # Exit vertices renamed through the return tuples.
             rt1 = g1.b_return_tuples[k1 - 1]
             rt2 = g2.b_return_tuples[k2 - 1]
             mapped = [{(rt1[e1 - 1], rt2[e2 - 1]): c
                        for (e1, e2), c in bp.items()} for bp in mb]
-            if bb.canonical and not field.is_zero(wb):
+            if bb.canonical:
                 # Return tuples are injective and mb's polynomials
                 # distinct, so no class merges and reduce would keep
                 # (bb, wb).

@@ -25,12 +25,12 @@ without rounding to one shared object each.
 
 The engine reaches an instance only through the methods of
 :class:`Semifield`: the arithmetic (``add``, ``mul``, ``inv``), keys
-and their ``is_zero``/``is_one`` tests, ``is_finite``, ``abs2`` and
-``measure_field`` for measurement, the weight text, and four calls for
-what an instance can represent: ``power_of_two`` (the EXP family's
-weights), ``sqrt_half`` (the Hadamard factor), ``phase`` (a unit
-complex weight) and ``check_sampleable`` (a weight that sampling may
-sum). Each raises where its instance cannot hold the value.
+and their ``is_zero``/``is_one`` tests, ``coerce``, ``is_finite``,
+``abs2`` and ``measure_field`` for measurement, the weight text, and
+four calls for what an instance can represent: ``power_of_two`` (the
+EXP family's weights), ``sqrt_half`` (the Hadamard factor), ``phase``
+(a unit complex weight) and ``check_sampleable`` (a weight that
+sampling may sum). Each raises where its instance cannot hold it.
 """
 
 from __future__ import annotations
@@ -142,6 +142,10 @@ class Semifield:
 
     def key(self, a):
         """Hashable canonical key; equal keys mean 'same weight'."""
+        raise NotImplementedError
+
+    def coerce(self, a):
+        """``a`` as a value of the carrier type, as ``fold`` stores it."""
         raise NotImplementedError
 
     def is_zero(self, a) -> bool:
@@ -265,6 +269,9 @@ class RationalSemifield(Semifield):
         # An integer pair hashes far faster than a Fraction.
         return a if isinstance(a, Pow2) else a.as_integer_ratio()
 
+    def coerce(self, a):
+        return a if isinstance(a, (Fraction, Pow2)) else Fraction(a)
+
     def is_zero(self, a) -> bool:
         return not isinstance(a, Pow2) and a == 0
 
@@ -328,6 +335,7 @@ class RealSemifield(Semifield):
             return self._one_key
         return round(a, _KEY_DIGITS) + 0.0  # merge -0.0 with 0.0
 
+    coerce = staticmethod(float)
     # A builtin, not a method: unfold checks every value it returns.
     is_finite = staticmethod(math.isfinite)
 
@@ -357,18 +365,17 @@ class ComplexSemifield(Semifield):
     _zero_key = (0.0, 0.0)
     _one_key = (1.0, 0.0)
 
-    @staticmethod
-    def _round1(x: float) -> float:
-        return round(x, _KEY_DIGITS) + 0.0
-
     def key(self, a):
         c = complex(a)
         if c == 0:
             return self._zero_key
         if c == 1:
             return self._one_key
-        return (self._round1(c.real), self._round1(c.imag))
+        # The hottest call of the matrix products: no helper call.
+        return (round(c.real, _KEY_DIGITS) + 0.0,
+                round(c.imag, _KEY_DIGITS) + 0.0)
 
+    coerce = staticmethod(complex)
     # A builtin, not a method: unfold checks every value it returns.
     is_finite = staticmethod(cmath.isfinite)
 
@@ -398,9 +405,10 @@ class ComplexSemifield(Semifield):
 
     def format_rounded(self, a) -> str:
         c = complex(a)
-        if self._round1(c.imag) == 0.0:
+        re_key, im_key = self.key(c)
+        if im_key == 0.0:
             return "%.*g" % (_KEY_DIGITS, c.real)
-        if self._round1(c.real) == 0.0:
+        if re_key == 0.0:
             return "%.*gi" % (_KEY_DIGITS, c.imag)
         sign = "+" if c.imag >= 0 else ""
         return "%.*g%s%.*gi" % (_KEY_DIGITS, c.real, sign, _KEY_DIGITS,

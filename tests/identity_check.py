@@ -1,11 +1,14 @@
 """Fingerprints of the package's observable behaviour, one line each.
 
 Prints ``label sha256`` for every artefact that a behaviour-preserving
-change must leave byte-identical: seeded operation results (dump, size,
-validate, unfold) with the forest's grouping and diagram counts after
-each batch, the named families at levels 1-10 with their DOT export,
-circuit states, the ``state_vector`` amplitudes of four small padded
-states, the dump positions of the groupings flagged canonical under
+change must leave byte-identical: seeded operation results, their
+structure (dump, size, validate) on one line and their read-back
+(``unfold``) on another labelled ``unfold/...``, so that a change to
+read-back alone leaves every structure line as it was, with the
+forest's grouping and diagram counts after each batch, the named
+families at levels 1-10 with their DOT export, circuit states, the
+``state_vector`` amplitudes of four small padded states, the dump
+positions of the groupings flagged canonical under
 each family and state, each family and state dump loaded into a fresh
 forest and dumped again, every gate on 16 qubits, seeded controlled
 gates of each block width on 64 qubits, three gates on 4096 qubits,
@@ -77,11 +80,18 @@ def _table(rng, instance, level):
     return [_leaf(rng, instance) for _ in range(1 << (1 << level))]
 
 
-def _describe(d, with_unfold=True):
-    parts = [wc.dump_diagram(d), repr(wc.size(d)), repr(wc.validate(d))]
-    if with_unfold:
-        parts.append(repr(wc.unfold(d)))
-    return "\n".join(parts)
+def _describe(d):
+    """Structure of ``d``: its dump, size and validate report."""
+    return "\n".join([wc.dump_diagram(d), repr(wc.size(d)),
+                      repr(wc.validate(d))])
+
+
+def _emit_pair(label, diagrams):
+    """The structure line ``label`` of ``diagrams``, then their read-back
+    line ``unfold/label`` (levels 3 and below)."""
+    emit(label, "\n".join(map(_describe, diagrams)))
+    emit(f"unfold/{label}", "\n".join(
+        repr(wc.unfold(d)) for d in diagrams if d.level <= 3))
 
 
 def _canonical(forest, d):
@@ -118,15 +128,12 @@ def operations():
             pairs = [(wc.fold(forest, _table(rng, instance, level)),
                       wc.fold(forest, _table(rng, instance, level)))
                      for _ in range(9 if level < 3 else 4)]
-            emit(f"fold/{instance}/L{level}",
-                 "\n".join(_describe(a) + _describe(b) for a, b in pairs))
+            _emit_pair(f"fold/{instance}/L{level}",
+                       [d for pair in pairs for d in pair])
             emit(f"counts/fold/{instance}/L{level}", _counts(forest))
             for name, op in ops:
-                texts = []
-                for a, b in pairs:
-                    r = op(a, b)
-                    texts.append(_describe(r, with_unfold=r.level <= 3))
-                emit(f"{name}/{instance}/L{level}", "\n".join(texts))
+                _emit_pair(f"{name}/{instance}/L{level}",
+                           [op(a, b) for a, b in pairs])
                 emit(f"counts/{name}/{instance}/L{level}", _counts(forest))
 
 
@@ -145,7 +152,7 @@ def families():
                 except Exception as e:  # the error is part of the behaviour
                     texts.append(f"{type(e).__name__}: {e}")
                     continue
-                texts.append(_describe(d, with_unfold=False))
+                texts.append(_describe(d))
                 texts.append(wc.export_dot(d))
                 flags.append(_canonical(forest, d))
                 reloads.append(_reload(d))
@@ -154,8 +161,7 @@ def families():
             emit(f"reload/family/{name}/{instance}", "\n".join(reloads))
     rational = wc.Forest(wc.field_by_name("rational"))
     exps = [wc.exp_family(rational, 1 << k) for k in range(0, 9)]
-    emit("family/EXP/rational",
-         "\n".join(_describe(d, with_unfold=d.level <= 3) for d in exps))
+    _emit_pair("family/EXP/rational", exps)
     emit("canonical/family/EXP/rational",
          "\n".join(_canonical(rational, d) for d in exps))
     emit("reload/family/EXP/rational", "\n".join(map(_reload, exps)))

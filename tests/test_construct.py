@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from wcflobdd.core import Forest, evaluate, size, validate
+from wcflobdd.core import Forest, evaluate, evaluate_exit, size, validate
 from wcflobdd.construct import (exp_family, fold, hadamard_family,
                                 identity_matrix, identity_proto, not_matrix,
                                 scalar_multiply, unfold, walsh_family)
+from wcflobdd.matrix import kronecker
 from wcflobdd.quantum import qft, run_circuit
+from wcflobdd.sampling import SampleContext, sample_assignment
 from wcflobdd.semifield import (Pow2, complex_field, rational_field,
                                 real_field)
 from wcflobdd.serialize import dump_diagram
@@ -47,6 +49,47 @@ def test_unfold_matches_evaluate_exactly():
         n = d.num_variables
         for i, v in enumerate(unfold(d)):
             assert v == evaluate(d, format(i, f"0{n}b"))
+
+
+@pytest.mark.parametrize("field", [rational_field(), real_field(),
+                                   complex_field()], ids=lambda f: f.name)
+def test_unfold_reads_a_level_4_kronecker_back(field):
+    # A Kronecker product of level-3 tables is read back through the
+    # head's A-paths, 256 cells per factor x A-half product.
+    forest = Forest(field)
+    rng = random.Random(f"kronecker-L4-{field.name}")
+    kind = "rational" if field is rational_field() else "complex"
+    a, b = (oracle.random_table(rng, 8, kind) for _ in range(2))
+    if field is real_field():
+        a, b = ([v.real for v in t] for t in (a, b))
+    d = kronecker(fold(forest, a), fold(forest, b))
+    cells = unfold(d)
+    assert d.level == 4 and len(cells) == 1 << 16
+    for i in rng.sample(range(1 << 16), 64):
+        bits = format(i, "016b")
+        assert repr(cells[i]) == repr(evaluate(d, bits)), i
+        e, _ = evaluate_exit(d, bits)
+        if field.is_zero(d.values[e - 1]):
+            assert repr(cells[i]) == repr(field.zero), i
+    dense = [x * y for x in a for y in b]
+    if field is rational_field():
+        assert cells == dense
+    # No -0.0 or (-0-0j): a zero cell reads as the instance's zero.
+    assert all(repr(got) == repr(field.zero)
+               for got, want in zip(cells, dense) if want == 0)
+
+
+def test_fold_stores_carrier_values():
+    # A float leaf on the complex instance stayed the factor as given,
+    # so sampling judged the handle by the spelling that interned it.
+    for table in ([-0.5, 0.5, 0.5, 0.5], [complex(-0.5), 0.5, 0.5, 0.5]):
+        d = fold(Forest(complex_field()), table)
+        assert type(d.factor) is complex
+        with pytest.raises(ValueError, match="real-weight view"):
+            sample_assignment(d, SampleContext(1))
+    assert type(fold(Forest(real_field()), [2, 1, 1, 1]).factor) is float
+    assert type(fold(Forest(rational_field()), [2, 1, 1, 1]).factor) \
+        is Fraction
 
 
 def test_fold_is_canonical():

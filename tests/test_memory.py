@@ -148,6 +148,20 @@ def test_gate_and_sampling_tables_drop_with_the_rest():
     assert measure(state, 200, seed=5) == counts
 
 
+def test_matrix_memo_tables_drop_with_the_rest():
+    # The 2x2 base product's placeholders and cells are memo tables.
+    forest = Forest(field_by_name("complex"))
+    rng = random.Random("matrix-memos")
+    matrix_multiply(fold(forest, _table(rng, "complex", 2)),
+                    fold(forest, _table(rng, "complex", 2)))
+    names = ("matrix_placeholder", "matrix_cells")
+    caches = forest.stats()["caches"]
+    assert all(caches.get(name) for name in names), caches
+    forest.clear_caches()
+    caches = forest.stats()["caches"]
+    assert not any(caches.get(name) for name in names), caches
+
+
 def test_a_wide_circuit_ends_under_the_drop_floor():
     # GHZ-4096 left 9,861 live groupings while gate_blocks kept its own.
     forest = quantum_forest()
