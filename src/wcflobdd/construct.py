@@ -83,9 +83,9 @@ def fold(forest: Forest, values) -> Diagram:
     # 1e-12 or -0.0 folds like the one holding 0.
     values = [zero if field.is_zero(v) else v
               for v in map(field.coerce, values)]
-    for v in values:
-        if not field.is_finite(v):
-            raise ValueError(f"leaf value {v!r} is not finite")
+    if not field.all_finite(values):
+        v = next(v for v in values if not field.is_finite(v))
+        raise ValueError(f"leaf value {v!r} is not finite")
     n = len(values)
     nvars = n.bit_length() - 1
     if n < 2 or n & (n - 1) or nvars & (nvars - 1):
@@ -120,7 +120,7 @@ def unfold(diagram: Diagram):
     out = []
     for fa, rt, paths in rows:
         out += [mul(fa, w) if live[rt[e - 1] - 1] else zero for e, w in paths]
-    if not all(map(field.is_finite, out)):
+    if not field.all_finite(out):
         raise OverflowError(f"a value of the level-{diagram.level} diagram "
                             "is out of float range")
     return out

@@ -10,17 +10,18 @@ last running total is its exit's sum over matched paths
 (compute_weights).
 
 A path is sampled without unfolding: a row picks a draw in proportion
-to its weight with one ``random()`` call, then the two child rows are
-walked in order, A first; the bits are collected in one list and
-joined once.  A row is *forced* when its exit has one draw, its total
-is not zero and both child rows are forced; the two rows of a level-0
-fork are forced.  A forced row's path is always the same, so the row
-keeps its bit string ``fixed`` and ``spent``, the number of
-``random()`` calls its walk would make.  The walk appends ``fixed`` and
-advances the generator with ``getrandbits(64 * spent)``, which on the
-Mersenne Twister consumes the same 2 * spent 32-bit words as ``spent``
-calls to ``random()``; every seeded draw, and the generator state after
-it, is that of the full walk.
+to its weight with one ``random()`` call and one bisection, then walks
+the draw's child rows, A first.  Each row keeps this walk as a *plan*
+of steps (bits, skip, choice): append ``bits``, ``getrandbits(skip)``
+and, unless ``choice`` is None, pick a draw and run its rows' plans.
+A row whose pick is the same at every point ``random()`` can give, or
+that is *forced* (one draw, a nonzero total, forced child rows; bounds
+unread), makes no choice: its plan skips one call, then runs the draw's
+bit or child plans, joined up to the next choice.  A level-0 fork's
+rows are forced and skip nothing.  On the Mersenne Twister
+``getrandbits(64 * k)`` takes the words of k ``random()`` calls, so
+each seeded draw and the generator state after it are those of the
+full walk.  ``sample_cdf`` also holds the row each diagram samples.
 
 Float rows keep their running totals scaled by 2^-``exp`` with the last
 one in [0.5, 1), and store ``exp``: a term is the product of the child
@@ -130,8 +131,8 @@ def sample_assignment(diagram: Diagram, ctx: SampleContext) -> str:
 class _Row:
     """One exit of one grouping; see the module docstring."""
 
-    __slots__ = ("draws", "cumulative", "exp", "bounds", "scale", "fixed",
-                 "spent")
+    __slots__ = ("draws", "cumulative", "exp", "bounds", "scale", "forced",
+                 "plan")
 
     def __init__(self, draws, cumulative, exp, bounds, scale):
         self.draws = draws
@@ -139,8 +140,7 @@ class _Row:
         self.exp = exp
         self.bounds = bounds
         self.scale = scale
-        self.fixed = None
-        self.spent = 0
+        self.forced = False
 
 
 def _target_row(diagram, view=False):
@@ -151,26 +151,23 @@ def _target_row(diagram, view=False):
     scales every path alike, and on a wide uniform state it underflows.
     """
     forest = diagram.forest
+    rows_forest = forest.measure_forest if view else forest
+    if (row := rows_forest.cache("sample_cdf").get((diagram, view))):
+        return row
     field = forest.field
-    one_key = field._one_key
-    target = None
-    for i, v in enumerate(diagram.values):
-        if field.key(v) == one_key:
-            target = i
-            break
+    target = next((i for i, v in enumerate(diagram.values)
+                   if field.key(v) == field._one_key), None)
     if target is None or diagram.factor == field.zero:
         raise ValueError("total path weight is zero")
-    head = diagram.head
-    if view:
-        head = _view(forest, head)
-        forest = forest.measure_forest
-    else:
+    if not view:
         field.check_sampleable(diagram.factor)
-    row = _rows(forest, head)[target]
+    head = _view(forest, diagram.head) if view else diagram.head
+    row = _rows(rows_forest, head)[target]
     # Exact comparison: branch probabilities are ratios, so a total far
     # below the rounding key's resolution still defines a distribution.
-    if row.cumulative[-1] == forest.field.zero:
+    if row.cumulative[-1] == rows_forest.field.zero:
         raise ValueError("total path weight is zero")
+    rows_forest.cache("sample_cdf")[diagram, view] = row
     return row
 
 
@@ -200,11 +197,12 @@ def _rows(forest, g):
         if g.number_of_exits == 2:
             rows = (_row(field, ("0",), [g.lw], 0),
                     _row(field, ("1",), [g.rw], 0))
-            for row in rows:
-                row.fixed = row.draws[0]
+            rows[0].forced = rows[1].forced = True
         else:
             rows = (_row(field, ("0", "1"), [g.lw, field.add(g.lw, g.rw)],
                          0),)
+        for row in rows:
+            row.plan = _plan(row)
         cache[g] = rows
         return rows
     draws = [[] for _ in range(g.number_of_exits)]
@@ -231,10 +229,8 @@ def _rows(forest, g):
             # No draw has weight: reaching this row raises.
             row.bounds = ()
         elif len(exit_draws) == 1:
-            a, b = exit_draws[0]
-            if a.fixed is not None and b.fixed is not None:
-                row.fixed = a.fixed + b.fixed
-                row.spent = 1 + a.spent + b.spent
+            row.forced = all(r.forced for r in exit_draws[0])
+        row.plan = _plan(row)
         rows.append(row)
     rows = cache[g] = tuple(rows)
     return rows
@@ -263,32 +259,60 @@ def _ceiling(c):
     return f if f >= c else math.nextafter(f, math.inf)
 
 
+def _plan(row):
+    """The plan of ``row``, once its child rows have theirs."""
+    bounds, pick = row.bounds, 0
+    hi = len(bounds) - 1 if bounds else 0
+    choose = (("", 0, (bounds, row.scale, row.draws, hi)),)
+    if not row.forced:
+        if not bounds:
+            return choose
+        # random() gives k * 2^-53 for 0 <= k < 2^53 and the pick grows
+        # with the point, so the same pick at both ends is certain.
+        pick = bisect_right(bounds, 0.0, 0, hi)
+        if pick != bisect_right(bounds, (1 - 2 ** -53) * row.scale, 0, hi):
+            return choose
+    draw = row.draws[pick]
+    if type(draw) is str:  # a fork's row skips nothing
+        return ((draw, 0 if row.forced else 64, None),)
+    bits, skip, plan = "", 64, []
+    for text, more, choice in draw[0].plan + draw[1].plan:
+        bits += text
+        skip += more
+        if choice is not None:
+            plan.append((bits, skip, choice))
+            bits, skip = "", 0
+    plan.append((bits, skip, None))
+    return tuple(plan)
+
+
 def _draw(row, rng):
     """Bits of one path through ``row``, as a string."""
     out = []
-    _walk(row, rng, out)
+    _walk(row.plan, rng, out)
     return "".join(out)
 
 
-def _walk(row, rng, out):
-    """Append the bits of one path through ``row`` to ``out``."""
-    if row.fixed is not None:
-        out.append(row.fixed)
-        if row.spent:
-            rng.getrandbits(64 * row.spent)
-        return
-    bounds = row.bounds
-    if not bounds:
-        if bounds is None:
-            raise OverflowError("a path-weight total is beyond the float "
-                                "range and cannot be sampled")
-        raise ValueError("total path weight is zero")
-    # The first draw whose running total exceeds a uniform point, which
-    # scales by the float total as random() * total does.
-    point = rng.random() * row.scale
-    draw = row.draws[min(bisect_right(bounds, point), len(bounds) - 1)]
-    if type(draw) is str:
-        out.append(draw)
-    else:
-        _walk(draw[0], rng, out)
-        _walk(draw[1], rng, out)
+def _walk(plan, rng, out):
+    """Append the bits of one run of ``plan`` to ``out``."""
+    for bits, skip, choice in plan:
+        if bits:
+            out.append(bits)
+        if skip:
+            rng.getrandbits(skip)
+        if choice is None:
+            return
+        bounds, scale, draws, hi = choice
+        if not bounds:
+            if bounds is None:
+                raise OverflowError("a path-weight total is beyond the "
+                                    "float range and cannot be sampled")
+            raise ValueError("total path weight is zero")
+        # The first draw whose running total exceeds a uniform point,
+        # which scales by the float total as random() * total does.
+        draw = draws[bisect_right(bounds, rng.random() * scale, 0, hi)]
+        if type(draw) is str:
+            out.append(draw)
+        else:
+            _walk(draw[0].plan, rng, out)
+            _walk(draw[1].plan, rng, out)

@@ -25,12 +25,13 @@ without rounding to one shared object each.
 
 The engine reaches an instance only through the methods of
 :class:`Semifield`: the arithmetic (``add``, ``mul``, ``inv``), keys
-and their ``is_zero``/``is_one`` tests, ``coerce``, ``is_finite``,
-``abs2`` and ``measure_field`` for measurement, the weight text, and
-four calls for what an instance can represent: ``power_of_two`` (the
-EXP family's weights), ``sqrt_half`` (the Hadamard factor), ``phase``
-(a unit complex weight) and ``check_sampleable`` (a weight that
-sampling may sum). Each raises where its instance cannot hold it.
+and their ``is_zero``/``is_one`` tests, ``coerce``, ``is_finite`` and
+``all_finite``, ``abs2`` and ``measure_field`` for measurement, the
+weight text, and four calls for what an instance can represent:
+``power_of_two`` (the EXP family's weights), ``sqrt_half`` (the
+Hadamard factor), ``phase`` (a unit complex weight) and
+``check_sampleable`` (a weight that sampling may sum). Each raises
+where its instance cannot hold it.
 """
 
 from __future__ import annotations
@@ -157,6 +158,10 @@ class Semifield:
     def is_finite(self, a) -> bool:
         """False for a float weight that overflowed to inf or nan."""
         return True
+
+    def all_finite(self, values) -> bool:
+        """is_finite of every value."""
+        return all(map(self.is_finite, values))
 
     def abs2(self, a):
         """Squared magnitude of ``a``, as a value of measure_field()."""
@@ -287,6 +292,9 @@ class RationalSemifield(Semifield):
     def sqrt_half(self):
         raise ValueError("1/sqrt(2) is irrational; see walsh_family")
 
+    def all_finite(self, values):  # exact: no value to read
+        return True
+
     def check_sampleable(self, w):
         if not isinstance(w, Pow2):  # always positive, not comparable with 0
             Semifield.check_sampleable(self, w)
@@ -336,7 +344,6 @@ class RealSemifield(Semifield):
         return round(a, _KEY_DIGITS) + 0.0  # merge -0.0 with 0.0
 
     coerce = staticmethod(float)
-    # A builtin, not a method: unfold checks every value it returns.
     is_finite = staticmethod(math.isfinite)
 
     def abs2(self, a):
@@ -376,7 +383,6 @@ class ComplexSemifield(Semifield):
                 round(c.imag, _KEY_DIGITS) + 0.0)
 
     coerce = staticmethod(complex)
-    # A builtin, not a method: unfold checks every value it returns.
     is_finite = staticmethod(cmath.isfinite)
 
     def abs2(self, a):

@@ -14,7 +14,8 @@ forest and dumped again, every gate on 16 qubits, seeded controlled
 gates of each block width on 64 qubits, three gates on 4096 qubits,
 the ``gate_blocks`` and grouping counts of three circuits and the
 entry count of each memo table after each, seeded sample streams with
-their path totals and error messages, the float and complex canonical
+their path totals, the generator state after each and error messages,
+``measure`` histograms (H on 256 and 1024 qubits among them), the float and complex canonical
 keys of edge and seeded values, and CLI output with ``time_s`` removed
 from bench rows.  Table counts are read after ``gc.collect()``, so no
 line depends on when the cyclic collector ran.  Run it on two checkouts
@@ -245,12 +246,27 @@ def gates():
             emit(f"caches/{label}/{name}", str(entries))
 
 
+def _all_h(n):
+    circuit = quantum.Circuit(n)
+    for q in range(n):
+        circuit.h(q)
+    return circuit
+
+
+def _stream(d, seed, count):
+    """``count`` seeded draws from ``d``, and the generator state after."""
+    ctx = wc.SampleContext(seed)
+    labels = [wc.sample_assignment(d, ctx) for _ in range(count)]
+    return " ".join(labels), ctx.source.getstate()
+
+
 def samples():
     states = {
         "GHZ-5": quantum.ghz(5), "GHZ-256": quantum.ghz(256),
         "GHZ-1024": quantum.ghz(1024), "QFT-5": quantum.qft(5, 3),
         "QFT-16": quantum.qft(16, 11),
         "BV-6": quantum.bernstein_vazirani(6, "101101"),
+        "H-256": _all_h(256), "H-1024": _all_h(1024),
     }
     for label, circuit in states.items():
         state = wc.run_circuit(circuit)
@@ -258,21 +274,25 @@ def samples():
             emit(f"measure/{label}/seed{seed}",
                  _outcome(lambda: sorted(quantum.measure(state, 200, seed)
                                          .items())))
+        emit(f"sample_view/{label}",
+             _outcome(_stream, wc.measure_view(state.diagram), 7, 50))
     for instance in ("rational", "float"):
         forest = wc.Forest(wc.field_by_name(instance))
         rng = random.Random(f"samples-{instance}")
         texts = []
+        positions = []
         for n in range(60):
             level = 1 + n % 3
             table = [abs(v) for v in _table(rng, instance, level)]
             if not any(table):
                 table[0] = 1
             d = wc.fold(forest, table)
-            ctx = wc.SampleContext(n)
             texts.append(repr(compute_weights(forest, d.head)))
-            texts.append(" ".join(wc.sample_assignment(d, ctx)
-                                  for _ in range(20)))
+            labels, position = _stream(d, n, 20)
+            texts.append(labels)
+            positions.append(repr(position))
         emit(f"sample_assignment/{instance}", "\n".join(texts))
+        emit(f"sample_state/{instance}", "\n".join(positions))
     rational = wc.Forest(wc.field_by_name("rational"))
     floating = wc.Forest(wc.field_by_name("float"))
     complexes = wc.Forest(wc.field_by_name("complex"))

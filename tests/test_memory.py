@@ -19,6 +19,7 @@ from wcflobdd.core import _DROP_FLOOR, Forest, size, validate
 from wcflobdd.matrix import kronecker, matrix_multiply
 from wcflobdd.pointwise import add, multiply, subtract
 from wcflobdd.quantum import ghz, measure, quantum_forest, run_circuit
+from wcflobdd.sampling import SampleContext, sample_assignment
 from wcflobdd.semifield import field_by_name
 
 import oracle
@@ -146,6 +147,28 @@ def test_gate_and_sampling_tables_drop_with_the_rest():
     assert entries() == (0, 0, 0)
     assert run_circuit(ghz(256), forest).diagram is state.diagram
     assert measure(state, 200, seed=5) == counts
+
+
+def test_sampled_rows_of_diagrams_drop_with_the_rest():
+    # sample_cdf also holds the row each diagram samples, keyed by the
+    # diagram and whether measure samples its view.
+    forest = quantum_forest()
+    state = run_circuit(ghz(64), forest)
+    counts = measure(state, 50, seed=2)
+    assert (state.diagram, True) in forest.measure_forest.cache("sample_cdf")
+    _churn_until_a_drop(forest, "complex", random.Random("diagram-rows"))
+    assert (state.diagram, True) not in \
+        forest.measure_forest.cache("sample_cdf")
+    assert measure(state, 50, seed=2) == counts
+
+    floats = Forest(field_by_name("float"))
+    d = fold(floats, [0.5, 0.0, 0.25, 1.0])
+    labels = [sample_assignment(d, SampleContext(3)) for _ in range(5)]
+    assert (d, False) in floats.cache("sample_cdf")
+    _churn_until_a_drop(floats, "float", random.Random("diagram-rows"))
+    assert (d, False) not in floats.cache("sample_cdf")
+    assert [sample_assignment(d, SampleContext(3))
+            for _ in range(5)] == labels
 
 
 def test_matrix_memo_tables_drop_with_the_rest():

@@ -13,8 +13,8 @@ from wcflobdd.matrix import apply_matrix_to_vector
 from wcflobdd.pointwise import add
 from wcflobdd.quantum import (Circuit, bernstein_vazirani, ghz, measure, qft,
                               run_circuit)
-from wcflobdd.sampling import (SampleContext, compute_weights, measure_view,
-                               sample_assignment)
+from wcflobdd.sampling import (SampleContext, _rows, _view, compute_weights,
+                               measure_view, sample_assignment)
 from wcflobdd.semifield import complex_field, rational_field, real_field
 
 import oracle
@@ -260,6 +260,116 @@ def test_sample_stream_matches_reference_walk():
             assert label == oracle.reference_walk(d.forest, d.head, target,
                                                   ref, memo), index
             assert ctx.source.getstate() == ref.getstate(), index
+
+
+def _all_h(n):
+    c = Circuit(n)
+    for q in range(n):
+        c.h(q)
+    return c
+
+
+def test_plans_match_reference_walk():
+    """Plans skip single-draw rows and forced runs and keep every real
+    choice: H on every qubit, a seeded QFT, GHZ on half the qubits beside
+    H on the rest, and a zero-rich rational table."""
+    rng = oracle.seeded(32)
+    mixed = Circuit(128)
+    mixed.h(0)
+    for q in range(63):
+        mixed.cnot(q, q + 1)
+    for q in range(64, 128):
+        mixed.h(q)
+    cases = [measure_view(run_circuit(c).diagram)
+             for c in (_all_h(256), qft(16, rng.randrange(1 << 16)), mixed)]
+    cases.append(fold(F, _pooled_nonneg(rng, 4, "rational")))
+    for index, d in enumerate(cases):
+        target = _unit_exit(d)
+        memo = {}
+        ctx = SampleContext(index)
+        ref = random.Random(index)
+        for _ in range(200):
+            label = sample_assignment(d, ctx)
+            assert label == oracle.reference_walk(d.forest, d.head, target,
+                                                  ref, memo), index
+            assert ctx.source.getstate() == ref.getstate(), index
+    # Rows that raise still raise on the first draw, and on every one.
+    for d, error, message in (
+            (exp_family(F, 16), OverflowError, "beyond the float range"),
+            (FL.zero_diagram(1), ValueError, "total path weight is zero")):
+        ctx = SampleContext(1)
+        for _ in range(2):
+            with pytest.raises(error, match=message):
+                sample_assignment(d, ctx)
+
+
+def test_forced_rows_past_the_float_range_are_walked():
+    # The draws reaching 1100 pass forced rows whose totals exceed the
+    # float range; a forced row's bounds are never read, so only a
+    # choice over such totals raises.
+    big = Fraction(2) ** 1100
+    leaves = {"0": 0, "1": 1, "3": 3, "B": big, "b": 1 / big}
+    d = fold(F, [Fraction(leaves[c]) for c in "B003130130b3Bbb3"])
+    ctx = SampleContext(0)
+    assert [sample_assignment(d, ctx) for _ in range(8)] == [
+        "1100", "1100", "0000", "1100", "0000", "1100", "1100", "0000"]
+
+
+def test_target_row_memo_keeps_checks_and_streams():
+    # Only a row that passed its checks is tabled: a fold with a
+    # negative factor raises on every call, complex or float.
+    for d, message in (
+            (fold(Forest(complex_field()), [-0.5, 0.5, 0.5, 0.5]),
+             "real-weight view"),
+            (fold(FL, [-0.5, -0.25, -0.5, -0.5]), "nonnegative")):
+        ctx = SampleContext(1)
+        for _ in range(3):
+            with pytest.raises(ValueError, match=message):
+                sample_assignment(d, ctx)
+    # Dropping the tables mid-stream changes no label.
+    d = fold(FL, _pooled_nonneg(oracle.seeded(33), 3, "float"))
+    whole, ctx = SampleContext(5), SampleContext(5)
+    want = [sample_assignment(d, whole) for _ in range(40)]
+    got = [sample_assignment(d, ctx) for _ in range(20)]
+    FL.clear_caches()
+    got += [sample_assignment(d, ctx) for _ in range(20)]
+    assert got == want
+    assert ctx.source.getstate() == whole.source.getstate()
+
+
+class _CountingRandom(random.Random):
+    """A generator that counts its random() and getrandbits calls."""
+
+    def __init__(self, seed):
+        self.calls = {"random": 0, "getrandbits": 0}
+        super().__init__(seed)
+
+    def random(self):
+        self.calls["random"] += 1
+        return super().random()
+
+    def getrandbits(self, k):
+        self.calls["getrandbits"] += 1
+        return super().getrandbits(k)
+
+
+def test_plans_stay_small():
+    ghz_state = run_circuit(ghz(4096))
+    ctx = SampleContext(0)
+    ctx.source = _CountingRandom(0)
+    label = sample_assignment(measure_view(ghz_state.diagram), ctx)
+    assert label in ("0" * 4096, "1" * 4096)
+    assert ctx.source.calls["random"] == 1
+    assert ctx.source.calls["getrandbits"] <= 2
+    # H on 2048 qubits keeps one choice per qubit; its level-k row
+    # joins 2^k of them.
+    for n, state in ((2048, run_circuit(_all_h(2048))), (4096, ghz_state)):
+        measure(state, 1, 0)
+        forest = state.diagram.forest
+        view = _view(forest, state.diagram.head)
+        lengths = [len(row.plan) for g in reachable_groupings(view)
+                   for row in _rows(forest.measure_forest, g)]
+        assert sum(lengths) <= 4 * n, (n, sum(lengths))
 
 
 def test_getrandbits_advances_like_random_calls():
