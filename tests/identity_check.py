@@ -15,9 +15,9 @@ gates of each block width on 64 qubits, three gates on 4096 qubits,
 the ``gate_blocks`` and grouping counts of three circuits and the
 entry count of each memo table after each, seeded sample streams with
 their path totals, the generator state after each and error messages,
-``measure`` histograms (H on 256 and 1024 qubits among them), the float and complex canonical
-keys of edge and seeded values, and CLI output with ``time_s`` removed
-from bench rows.  Table counts are read after ``gc.collect()``, so no
+``measure`` histograms (H on 256 and 1024 qubits among them), the
+float and complex canonical keys of edge and seeded values, and CLI
+output with ``time_s`` removed from bench rows.  Table counts are read after ``gc.collect()``, so no
 line depends on when the cyclic collector ran.  Run it on two checkouts
 and ``diff`` the outputs:
 
