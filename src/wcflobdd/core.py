@@ -207,12 +207,13 @@ def _absent():
     return None
 
 
-# Live groupings below which the memo tables are never dropped.
-# It sits above what one run of the perfbench circuits leaves live on a
-# fresh forest (QFT-32 on a seeded basis 4,858, GHZ-256 2,132, BV-63
-# 977), so those never drop, and below the 13,114 (rational) and
-# 27,731 (complex) that 40 random level-3 operations leave when
-# nothing drops.
+# Live groupings below which the memo tables are never dropped.  One
+# run of a perfbench circuit (seed 1, ten rounds) on a fresh forest
+# leaves 1,157-1,286 (BV-63, DJ-63) and 2,596 (GHZ-256) live; QFT-32
+# leaves 7,082-8,089 (5,143-8,038 before the row product, whose cross
+# products only the memo tables keep), and 6 of its 20 bases cross the
+# floor.  It sits below the 13,114 (rational) and 27,731 (complex) that
+# 40 random level-3 operations leave when nothing drops.
 _DROP_FLOOR = 8192
 
 

@@ -19,6 +19,13 @@ k+1 matrix.  Both A-connections then cover the first half of the rows,
 so matrix-vector application runs the same recursion, down to a 2x2
 block times a level-0 leaf.
 
+Application takes a third path when the matrix head is monomial: at
+level 1 each row has at most one cell of path weight not exactly zero,
+and above it the A-connection and every B-connection are monomial (X,
+PHASE, control-first CNOT and CP; not H or target-first CNOT).  Each
+row path then meets one column path, so M v is a cross product of the
+two heads, the row product: no sums and no polynomials.
+
 On the float instances a product whose factor leaves the float range
 raises OverflowError rather than return a wrong diagram.
 
@@ -29,8 +36,8 @@ pairs to nonzero coefficients; the empty dict is the zero polynomial.
 from .core import (Diagram, StructureError, _checked_diagram,
                    collapse_classes_leftmost, is_zero_diagram)
 from .construct import _fold, identity_matrix, identity_proto
-from .pointwise import (_common_forest, _merge_middles, finish, reduce,
-                        weighted_pair_product)
+from .pointwise import (_common_forest, _cross_join, _merge_middles, finish,
+                        reduce, weighted_pair_product)
 
 __all__ = [
     "apply_matrix_to_vector",
@@ -136,6 +143,16 @@ def _product(forest, n1, n2):
     if n2 is identity_matrix(forest, n1.level):
         return n1
 
+    if n2.level < n1.level and _monomial(forest, n1.head):
+        g, pt = _row_step(forest, n1.head, n2.head)
+        v = [field.mul(n1.values[i1 - 1], n2.values[i2 - 1]) for i1, i2 in pt]
+        return finish(forest, g, v, field.mul(n1.factor, n2.factor))
+    return _symbolic_product(forest, n1, n2)
+
+
+def _symbolic_product(forest, n1, n2):
+    """n1 times n2 through the bilinear polynomials, shortcuts aside."""
+    field = forest.field
     g, m, w = _mat_mult_groupings(forest, n1.head, n2.head)
     v = []
     for bp in m:
@@ -145,6 +162,52 @@ def _product(forest, n1, n2):
                 coeff, field.mul(n1.values[e1 - 1], n2.values[e2 - 1])))
         v.append(total)
     return finish(forest, g, v, w, field.mul(n1.factor, n2.factor))
+
+
+def _monomial(forest, g):
+    """Whether the proto-matrix ``g`` is monomial, its cells compared
+    with the exact zero, so that a float cell of 1e-12 is live."""
+    table = forest.cache("row_product")
+    flag = table.get(g)
+    if flag is None:
+        if g.level == 1:
+            zero = forest.field.zero
+            flag = all(row[0][0] == zero or row[1][0] == zero
+                       for row in _cells(forest, g))
+        else:
+            flag = (_monomial(forest, g.a_connection)
+                    and all(_monomial(forest, b) for b in g.b_connections))
+        table[g] = flag
+    return flag
+
+
+def _row_product(forest, g1, g2):
+    """``(g, pt)`` as ``pair_product`` gives, for a monomial proto-matrix
+    and a proto-vector: each row path carries path1(row, c) * path2(c)
+    for its live column c, if any, to the exit pair the two reach."""
+    table = forest.cache("row_product")
+    hit = table.get((g1, g2))
+    if hit is None:
+        hit = table[g1, g2] = _row_step(forest, g1, g2)
+    return hit
+
+
+def _row_step(forest, g1, g2):
+    """``_row_product`` unmemoized, for a product's top pair, which
+    never recurs: the table would only hold it."""
+    if g1 is identity_proto(forest, g1.level):
+        return g2, tuple((1, k) for k in range(1, g2.number_of_exits + 1))
+    if g2.level:
+        return _cross_join(forest, g1, g2, _row_product)
+    field = forest.field
+    weights, pt = [], []
+    for row in _cells(forest, g1):
+        c = int(row[0][0] == field.zero)  # the live column, else 1
+        (w1, e1), (e2, w2) = row[c], g2.branch(c)
+        weights.append(field.mul(w1, w2))
+        pt.append((e1, e2))
+    pt = tuple(pt[:1] if pt[0] == pt[1] else pt)
+    return forest.leaf(*weights, len(pt)), pt
 
 
 def _mat_mult_groupings(forest, g1, g2):

@@ -159,18 +159,24 @@ def pair_product(forest, g1, g2):
         pt = ((1, 1),) if right == (1, 1) else ((1, 1), right)
         res = (forest.leaf(lw, rw, len(pt)), pt)
     else:
-        a, pt_a = pair_product(forest, g1.a_connection, g2.a_connection)
-        middles = []
-        for i, j in pt_a:
-            b, pt_b = pair_product(forest, g1.b_connections[i - 1],
-                                   g2.b_connections[j - 1])
-            rt1 = g1.b_return_tuples[i - 1]
-            rt2 = g2.b_return_tuples[j - 1]
-            middles.append(
-                (b, [(rt1[e1 - 1], rt2[e2 - 1]) for e1, e2 in pt_b]))
-        res = forest.join(a, middles)
+        res = _cross_join(forest, g1, g2, pair_product)
     cache[key] = res
     return res
+
+
+def _cross_join(forest, g1, g2, product):
+    """The internal step of a cross product: ``product`` of the
+    A-connections, then of the B-connections behind each exit pair,
+    renamed through both return tuples and joined; ``(g, pt)``."""
+    a, pt_a = product(forest, g1.a_connection, g2.a_connection)
+    middles = []
+    for i, j in pt_a:
+        b, pt_b = product(forest, g1.b_connections[i - 1],
+                          g2.b_connections[j - 1])
+        rt1 = g1.b_return_tuples[i - 1]
+        rt2 = g2.b_return_tuples[j - 1]
+        middles.append((b, [(rt1[e1 - 1], rt2[e2 - 1]) for e1, e2 in pt_b]))
+    return forest.join(a, middles)
 
 
 def multiply(n1: Diagram, n2: Diagram) -> Diagram:

@@ -30,7 +30,8 @@ A segment depends on its width, its blocks and their positions counted
 from its first qubit, not on where it sits in the register.  The
 forest's ``gate_blocks`` table keeps each segment, class tower and
 controlled block under that offset-free key, so the segment a CNOT
-needs at qubits (40, 41) is the one made for (8, 9).  Blocks enter the
+needs at qubits (40, 41) is the one made for (8, 9); it keeps each
+folded phase factor under its angle too.  Blocks enter the
 key as interned diagrams, which hash and compare by identity; the key
 holds a reference, so an identity cannot be freed and reused while the
 entry lives.  The table drops with the forest's other memo tables.  A
@@ -119,9 +120,13 @@ def _zero_ket(forest, width):
 
 
 def _phase(forest, theta):
-    field = forest.field
-    return fold(forest, [field.one, field.zero, field.zero,
-                         field.phase(theta)])
+    blocks = forest.cache("gate_blocks")
+    hit = blocks.get(("PHASE", theta))
+    if hit is None:
+        field = forest.field
+        hit = blocks["PHASE", theta] = fold(
+            forest, [field.one, field.zero, field.zero, field.phase(theta)])
+    return hit
 
 
 # kind -> (angle count, qubit count, its one-qubit factor from

@@ -1,17 +1,20 @@
 """Gate construction and circuit runs against a dense simulator."""
 
 import cmath
+import gc
 import math
 import random
 
 import numpy as np
 import pytest
 
-from wcflobdd.core import Forest, size, validate
+from wcflobdd.core import Forest, reachable_groupings, size, validate
 from wcflobdd.construct import (fold, hadamard_family, identity_matrix,
                                 identity_proto, not_matrix, unfold,
                                 walsh_family)
-from wcflobdd.matrix import kronecker, matrix_multiply
+from wcflobdd.matrix import (_monomial, _symbolic_product,
+                             apply_matrix_to_vector, kronecker,
+                             matrix_multiply)
 from wcflobdd.pointwise import add
 from wcflobdd.quantum import (Circuit, amplitude, basis_state,
                               bernstein_vazirani, build_gate, deutsch_jozsa,
@@ -442,19 +445,82 @@ def test_controlled_blocks_are_the_projection_sum(instance):
                     is identity_matrix(f, width.bit_length()))
 
 
-def test_circuits_leave_no_non_canonical_groupings():
-    """Controlled blocks are built as canonical groupings and the matrix
-    product interns only its result, so a circuit run leaves every
-    grouping of the forest flagged canonical; GHZ and BV form no
-    pointwise sums at all."""
+def test_circuit_states_are_canonical_and_only_memo_tables_hold_more():
+    """Controlled blocks are built as canonical groupings, and a run's
+    state reaches only canonical groupings.  The row product interns
+    non-canonical cross products, as pair_product does, which only the
+    memo tables keep: once the tables drop, every live grouping is
+    canonical.  GHZ and BV form no pointwise sums at all."""
     for circuit, sums in ((ghz(256), False),
                           (bernstein_vazirani(63, "10" * 31 + "1"), False),
                           (qft(32, 12345), True)):
         f = quantum_forest()
-        run_circuit(circuit, f)
+        state = run_circuit(circuit, f).diagram
+        assert all(g.canonical for g in reachable_groupings(state.head)), \
+            circuit
+        assert ("weighted_pair_product" in f.stats()["caches"]) == sums, \
+            circuit
+        f.clear_caches()
+        gc.collect()
         stats = f.stats()
         assert stats["groupings"] == stats["canonical_ids"], circuit
-        assert ("weighted_pair_product" in stats["caches"]) == sums, circuit
+
+
+def _seeded_state(f, n, seed):
+    """A state on n qubits: an H layer, then 40 seeded X, PHASE, CNOT
+    and CP gates."""
+    rng = random.Random(seed)
+    c = Circuit(n)
+    for q in range(n):
+        c.h(q)
+    for _ in range(40):
+        a, b = rng.sample(range(n), 2)
+        theta = rng.choice((math.pi / 2, math.pi / 3, 2 * math.pi / 7))
+        kind, *args = rng.choice((("X", a), ("PHASE", theta, a),
+                                  ("CNOT", a, b), ("CP", theta, a, b)))
+        getattr(c, kind.lower())(*args)
+    return run_circuit(c, f).diagram
+
+
+def _row_and_symbolic(f, gate, n, states):
+    """Each state times the gate through apply_matrix_to_vector and
+    through the symbolic product called directly, which must give the
+    identical handle; whether the row product applied."""
+    m = build_gate(f, gate, n)
+    for s in states:
+        assert apply_matrix_to_vector(m, s) is _symbolic_product(f, m, s), gate
+    return _monomial(f, m.head)
+
+
+def test_row_product_gives_the_symbolic_handles():
+    """Every table gate on 16 qubits, and seeded control-first and
+    target-first CNOT and CP at every block width on 64: H and
+    target-first CNOT take the symbolic path, the rest the row product,
+    and both give the same handle."""
+    theta = math.pi / 3
+    f = quantum_forest()
+    states = [_seeded_state(f, 16, 2)]
+    for q in range(16):
+        assert not _row_and_symbolic(f, ("H", q), 16, states)
+        assert _row_and_symbolic(f, ("X", q), 16, states)
+        assert _row_and_symbolic(f, ("PHASE", theta, q), 16, states)
+    for a in range(16):
+        for b in range(16):
+            if a != b:
+                assert (_row_and_symbolic(f, ("CNOT", a, b), 16, states)
+                        == (a < b)), (a, b)
+                assert _row_and_symbolic(f, ("CP", theta, a, b), 16, states)
+    rng = random.Random(64)
+    states = [_seeded_state(f, 64, 3)]
+    for width in (2, 4, 8, 16, 32, 64):
+        for _ in range(2):
+            base = rng.randrange(0, 64, width)
+            a = base + rng.randrange(width // 2)
+            b = base + width // 2 + rng.randrange(width // 2)
+            for c, t in ((a, b), (b, a)):
+                assert (_row_and_symbolic(f, ("CNOT", c, t), 64, states)
+                        == (c < t)), (c, t)
+                assert _row_and_symbolic(f, ("CP", theta, c, t), 64, states)
 
 
 @pytest.mark.parametrize("basis", [True, 1.0, "1"])
