@@ -14,6 +14,7 @@ are not, so byte-identical reruns hold for every command except bench.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -144,76 +145,60 @@ def _run_units(suite, units, timeout):
 
 
 def _synthetic_units(params, instance):
-    field = field_by_name(instance)
-    forest = Forest(field)
+    forest = Forest(field_by_name(instance))
 
     def b1(l):
-        return lambda: add(identity_matrix(forest, l), not_matrix(forest, l))
+        return add(identity_matrix(forest, l), not_matrix(forest, l))
 
     def b2(l):
         m = 1 << (l - 1)
-        return lambda: matrix_multiply(
+        return matrix_multiply(
             build_gate(forest, ("CNOT", 0, m - 1), m),
             build_gate(forest, ("CNOT", m // 2 - 1, m // 2), m))
 
     def b3(l):
-        def go():
-            result = matrix_multiply(hadamard_family(forest, l),
-                                     hadamard_family(forest, l))
-            if result is not identity_matrix(forest, l):
-                raise ValueError("H x H is not the identity")
-            return result
-        return go
+        result = matrix_multiply(hadamard_family(forest, l),
+                                 hadamard_family(forest, l))
+        if result is not identity_matrix(forest, l):
+            raise ValueError("H x H is not the identity")
+        return result
 
     def b4(l):
-        def go():
-            result = add(
-                matrix_multiply(hadamard_family(forest, l),
-                                identity_matrix(forest, l)),
-                matrix_multiply(identity_matrix(forest, l),
-                                not_matrix(forest, l)))
-            # X is 0 at the all-zeros cell, so H's 2^(-m/2) is the value.
-            want = 2.0 ** -((1 << (l - 1)) / 2)
-            got = evaluate(result, [0] * (1 << l))
-            if abs(got - want) > 1e-9 * want:
-                raise ValueError(f"H*I + I*X is {got} at the all-zeros "
-                                 f"cell, not {want}")
-            return result
-        return go
+        result = add(
+            matrix_multiply(hadamard_family(forest, l),
+                            identity_matrix(forest, l)),
+            matrix_multiply(identity_matrix(forest, l),
+                            not_matrix(forest, l)))
+        # X is 0 at the all-zeros cell, so H's 2^(-m/2) is the value.
+        want = 2.0 ** -((1 << (l - 1)) / 2)
+        got = evaluate(result, [0] * (1 << l))
+        if abs(got - want) > 1e-9 * want:
+            raise ValueError(f"H*I + I*X is {got} at the all-zeros "
+                             f"cell, not {want}")
+        return result
 
     def b5(l):
-        def go():
-            result = subtract(hadamard_family(forest, l),
-                              hadamard_family(forest, l))
-            if result is not forest.zero_diagram(l):
-                raise ValueError("H - H is not the zero diagram")
-            return result
-        return go
+        result = subtract(hadamard_family(forest, l),
+                          hadamard_family(forest, l))
+        if result is not forest.zero_diagram(l):
+            raise ValueError("H - H is not the zero diagram")
+        return result
 
-    units = []
-    for l in params:
-        units.append(("B1", l, instance, b1(l)))
-        if l >= 2:
-            units.append(("B2", l, instance, b2(l)))
-        units.append(("B3", l, instance, b3(l)))
-        units.append(("B4", l, instance, b4(l)))
-        units.append(("B5", l, instance, b5(l)))
-    return units
+    benches = [("B1", b1), ("B2", b2), ("B3", b3), ("B4", b4), ("B5", b5)]
+    return [(name, l, instance, functools.partial(build, l))
+            for l in params for name, build in benches
+            if name != "B2" or l >= 2]
 
 
 def _separation_units(params):
     rational = Forest(field_by_name("rational"))
     floating = Forest(field_by_name("float"))
-    units = []
-    for l in params:
-        units.append(("EXP", l, "rational",
-                      (lambda ll: lambda: exp_family(rational, 1 << ll))(l)))
-    for l in params:
-        if l < 1:
-            continue
-        units.append(("H", l, "float",
-                      (lambda ll: lambda: hadamard_family(floating, ll))(l)))
-    return units
+    return ([("EXP", l, "rational",
+              functools.partial(exp_family, rational, 1 << l))
+             for l in params]
+            + [("H", l, "float",
+                functools.partial(hadamard_family, floating, l))
+               for l in params if l >= 1])
 
 
 def _quantum_units(params, seed):
@@ -275,13 +260,7 @@ def cmd_bench(args):
 
 def cmd_eval(args):
     d, forest = _resolve(args.input, args.instance)
-    bits = args.bits.strip()
-    if set(bits) - {"0", "1"}:
-        raise ValueError("assignment must be a 0/1 string")
-    if len(bits) != 1 << d.level:
-        raise ValueError(f"diagram reads {1 << d.level} variables, "
-                         f"got {len(bits)} bits")
-    value = evaluate(d, [int(b) for b in bits])
+    value = evaluate(d, args.bits.strip())
     print(forest.field.format_rounded(value))
     return 0
 

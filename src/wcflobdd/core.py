@@ -562,13 +562,6 @@ def evaluate(diagram: Diagram, assignment):
     return value
 
 
-def evaluate_exit(diagram: Diagram, assignment):
-    """(exit index, accumulated path weight) of the head on an assignment."""
-    bits = _bits(diagram, assignment)
-    return _eval_grouping(diagram.forest.field, diagram.head, bits, 0,
-                          len(bits))
-
-
 def is_zero_diagram(diagram: Diagram) -> bool:
     """True when the diagram denotes the all-zero function.
 

@@ -235,6 +235,8 @@ def weighted_pair_product(forest, g1, g2, p1, p2):
         second = ((field.mul(p1, g1.rw), g1.number_of_exits),
                   (field.mul(p2, g2.rw), g2.number_of_exits))
         if _entry_key(field, first) == _entry_key(field, second):
+            # Only unnormalized leaves (a loaded dump) get here; above
+            # level 0 the two exits would break the parent's join.
             pt = (first,)
         else:
             pt = (first, second)

@@ -1,41 +1,42 @@
 """Path-weight totals and proportional assignment sampling.
 
 The forest's ``sample_cdf`` table holds, per grouping, one row per exit,
-built bottom-up.  A row lists the draws that reach its exit and their
-running totals.  At level 0 a draw is its bit.  At an internal grouping
-a draw is a (middle, B-exit) pair, held as direct references to the
+built bottom-up.  A row holds its exit's total over matched paths
+(compute_weights), the total's exponent, the forced flag and its plan.
+It is built from the draws that reach its exit and their running
+totals.  At level 0 a draw is its bit.  At an internal grouping a draw
+is a (middle, B-exit) pair, held as direct references to the
 A-connection's row for that middle and the B-connection's row for that
-B-exit, and weighted by the product of those rows' totals.  A row's
-last running total is its exit's sum over matched paths
-(compute_weights).
+B-exit, and weighted by the product of those rows' totals.
 
 A path is sampled without unfolding: a row picks a draw in proportion
 to its weight with one ``random()`` call and one bisection, then walks
 the draw's child rows, A first.  Each row keeps this walk as a *plan*
 of steps (bits, skip, choice): append ``bits``, ``getrandbits(skip)``
 and, unless ``choice`` is None, pick a draw and run its rows' plans.
+A choice holds the draws and the float bounds of their running totals.
 A row whose pick is the same at every point ``random()`` can give, or
-that is *forced* (one draw, a nonzero total, forced child rows; bounds
-unread), makes no choice: its plan skips one call, then runs the draw's
-bit or child plans, joined up to the next choice.  A level-0 fork's
-rows are forced and skip nothing.  On the Mersenne Twister
+that is *forced* (one draw, a nonzero total, forced child rows), makes
+no choice: its plan skips one call, then runs the draw's bit or child
+plans, joined up to the next choice.  A level-0 fork's rows are forced
+unless their weight is 0, and skip nothing.  On the Mersenne Twister
 ``getrandbits(64 * k)`` takes the words of k ``random()`` calls, so
 each seeded draw and the generator state after it are those of the
 full walk.  ``sample_cdf`` also holds the row each diagram samples.
 
-Float rows keep their running totals scaled by 2^-``exp`` with the last
-one in [0.5, 1), and store ``exp``: a term is the product of the child
+Float rows scale their running totals by 2^-``exp`` so that the total
+lies in [0.5, 1), and store ``exp``: a term is the product of the child
 rows' scaled totals with their exponents added, and the terms of an
 exit are aligned to the largest exponent before they are summed.  So a
 grouping with more than 2^1024 paths, or totals below the smallest
 float, still samples in proportion.  Scaling by a power of two is
 exact when nothing overflows or underflows, so it changes no draw of a
 table whose plain totals stay in range.  Rational rows keep exact
-totals, ``exp`` at 0, and the smallest float at or above each running
-total: for a float point p, a total c exceeds p exactly when its
-ceiling does, so the walk bisects floats and draws as the exact totals
-would.  A walk that reaches a total beyond the float range raises
-OverflowError; compute_weights still returns it exactly.
+totals and ``exp`` at 0; their bounds are the smallest floats at or
+above the running totals: for a float point p, a total c exceeds p
+exactly when its ceiling does, so the walk bisects floats and draws as
+the exact totals would.  A walk that reaches a total beyond the float
+range raises OverflowError; compute_weights still returns it exactly.
 
 Leaf weights are checked to be nonnegative reals before any sum is
 formed, so no sum can cancel.  Quantum states carry signed or complex
@@ -131,16 +132,13 @@ def sample_assignment(diagram: Diagram, ctx: SampleContext) -> str:
 class _Row:
     """One exit of one grouping; see the module docstring."""
 
-    __slots__ = ("draws", "cumulative", "exp", "bounds", "scale", "forced",
-                 "plan")
+    __slots__ = ("total", "exp", "forced", "plan")
 
-    def __init__(self, draws, cumulative, exp, bounds, scale):
-        self.draws = draws
-        self.cumulative = cumulative
+    def __init__(self, total, exp, forced, plan):
+        self.total = total
         self.exp = exp
-        self.bounds = bounds
-        self.scale = scale
-        self.forced = False
+        self.forced = forced
+        self.plan = plan
 
 
 def _target_row(diagram, view=False):
@@ -165,7 +163,7 @@ def _target_row(diagram, view=False):
     row = _rows(rows_forest, head)[target]
     # Exact comparison: branch probabilities are ratios, so a total far
     # below the rounding key's resolution still defines a distribution.
-    if row.cumulative[-1] == rows_forest.field.zero:
+    if row.total == rows_forest.field.zero:
         raise ValueError("total path weight is zero")
     rows_forest.cache("sample_cdf")[diagram, view] = row
     return row
@@ -174,9 +172,9 @@ def _target_row(diagram, view=False):
 def _plain(row):
     """A row's total as a plain value."""
     if not row.exp:
-        return row.cumulative[-1]
+        return row.total
     try:
-        return math.ldexp(row.cumulative[-1], row.exp)
+        return math.ldexp(row.total, row.exp)
     except OverflowError:
         return math.inf
 
@@ -195,14 +193,11 @@ def _rows(forest, g):
         field.check_sampleable(g.lw)
         field.check_sampleable(g.rw)
         if g.number_of_exits == 2:
-            rows = (_row(field, ("0",), [g.lw], 0),
-                    _row(field, ("1",), [g.rw], 0))
-            rows[0].forced = rows[1].forced = True
+            rows = (_row(field, ("0",), [g.lw], 0, True),
+                    _row(field, ("1",), [g.rw], 0, True))
         else:
             rows = (_row(field, ("0", "1"), [g.lw, field.add(g.lw, g.rw)],
-                         0),)
-        for row in rows:
-            row.plan = _plan(row)
+                         0, False),)
         cache[g] = rows
         return rows
     draws = [[] for _ in range(g.number_of_exits)]
@@ -211,8 +206,7 @@ def _rows(forest, g):
                         g.b_return_tuples):
         for e, row_b in zip(rt, _rows(forest, b)):
             draws[e - 1].append((a, row_b))
-            terms[e - 1].append((field.mul(a.cumulative[-1],
-                                           row_b.cumulative[-1]),
+            terms[e - 1].append((field.mul(a.total, row_b.total),
                                  a.exp + row_b.exp))
     rows = []
     for exit_draws, exit_terms in zip(draws, terms):
@@ -224,33 +218,33 @@ def _rows(forest, g):
             running = field.add(running,
                                 w if x == top else math.ldexp(w, x - top))
             cumulative.append(running)
-        row = _row(field, exit_draws, cumulative, top)
-        if running == field.zero:
-            # No draw has weight: reaching this row raises.
-            row.bounds = ()
-        elif len(exit_draws) == 1:
-            row.forced = all(r.forced for r in exit_draws[0])
-        row.plan = _plan(row)
-        rows.append(row)
+        rows.append(_row(field, exit_draws, cumulative, top,
+                         len(exit_draws) == 1
+                         and all(r.forced for r in exit_draws[0])))
     rows = cache[g] = tuple(rows)
     return rows
 
 
-def _row(field, draws, cumulative, exp):
-    """A row over ``cumulative``: float totals renormalized, exact ones
-    given float bounds, or none when a total is beyond the float range."""
+def _row(field, draws, cumulative, exp, forced):
+    """The row of ``draws`` with running totals ``cumulative``: bounds
+    are the float totals renormalized or the exact totals' ceilings, None
+    past the float range, and () at a zero total, which is not forced."""
     if isinstance(field.zero, float):
         shift = math.frexp(cumulative[-1])[1]
         if shift:
             cumulative = [math.ldexp(c, -shift) for c in cumulative]
             exp += shift
-        return _Row(draws, cumulative, exp, cumulative, cumulative[-1])
-    try:
-        bounds = [_ceiling(c) for c in cumulative]
-        scale = float(cumulative[-1])
-    except (OverflowError, TypeError):  # too large, or a symbolic power of two
-        bounds = scale = None
-    return _Row(draws, cumulative, exp, bounds, scale)
+        bounds, scale = cumulative, cumulative[-1]
+    else:
+        try:
+            bounds = [_ceiling(c) for c in cumulative]
+            scale = float(cumulative[-1])
+        except (OverflowError, TypeError):  # too large, or a symbolic 2^e
+            bounds = scale = None
+    total = cumulative[-1]
+    if total == field.zero:
+        bounds, forced = (), False
+    return _Row(total, exp, forced, _plan(draws, bounds, scale, forced))
 
 
 def _ceiling(c):
@@ -259,22 +253,22 @@ def _ceiling(c):
     return f if f >= c else math.nextafter(f, math.inf)
 
 
-def _plan(row):
-    """The plan of ``row``, once its child rows have theirs."""
-    bounds, pick = row.bounds, 0
+def _plan(draws, bounds, scale, forced):
+    """The plan of a row, once the child rows of its draws have theirs."""
+    pick = 0
     hi = len(bounds) - 1 if bounds else 0
-    choose = (("", 0, (bounds, row.scale, row.draws, hi)),)
-    if not row.forced:
+    choose = (("", 0, (bounds, scale, draws, hi)),)
+    if not forced:
         if not bounds:
             return choose
         # random() gives k * 2^-53 for 0 <= k < 2^53 and the pick grows
         # with the point, so the same pick at both ends is certain.
         pick = bisect_right(bounds, 0.0, 0, hi)
-        if pick != bisect_right(bounds, (1 - 2 ** -53) * row.scale, 0, hi):
+        if pick != bisect_right(bounds, (1 - 2 ** -53) * scale, 0, hi):
             return choose
-    draw = row.draws[pick]
+    draw = draws[pick]
     if type(draw) is str:  # a fork's row skips nothing
-        return ((draw, 0 if row.forced else 64, None),)
+        return ((draw, 0 if forced else 64, None),)
     bits, skip, plan = "", 64, []
     for text, more, choice in draw[0].plan + draw[1].plan:
         bits += text

@@ -54,7 +54,8 @@ def load_diagram(text: str, forest: Forest | None = None) -> Diagram:
     """Rebuild a dumped diagram, interning into ``forest``.
 
     Without a forest one is created for the field named in the header.
-    Raises ValueError on malformed input or a field mismatch.
+    Raises ValueError on malformed input, such as a grouping id or a
+    diagram record given twice, or on a field mismatch.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -77,6 +78,8 @@ def load_diagram(text: str, forest: Forest | None = None) -> Diagram:
     while i < len(lines):
         parts = lines[i].split()
         try:
+            if parts[0] == "g" and int(parts[1]) in groupings:
+                raise ValueError(f"grouping {parts[1]} is defined twice")
             if parts[0] == "g" and parts[2] in ("fork", "dontcare"):
                 gid, kind = int(parts[1]), parts[2]
                 exits = 1 if kind == "dontcare" else 2
@@ -101,6 +104,8 @@ def load_diagram(text: str, forest: Forest | None = None) -> Diagram:
                 groupings[gid] = g
                 i += 1 + count
             elif parts[0] == "d":
+                if diagram is not None:
+                    raise ValueError("second diagram record")
                 diagram = forest.diagram(
                     field.parse(parts[1]), groupings[int(parts[2])],
                     tuple(field.parse(t) for t in parts[3:]))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from wcflobdd.core import Forest, evaluate, evaluate_exit, size, validate
+from wcflobdd.core import Forest, evaluate, size, validate
 from wcflobdd.construct import (exp_family, fold, hadamard_family,
                                 identity_matrix, identity_proto, not_matrix,
                                 scalar_multiply, unfold, walsh_family)
@@ -68,7 +68,7 @@ def test_unfold_reads_a_level_4_kronecker_back(field):
     for i in rng.sample(range(1 << 16), 64):
         bits = format(i, "016b")
         assert repr(cells[i]) == repr(evaluate(d, bits)), i
-        e, _ = evaluate_exit(d, bits)
+        e = oracle.proto_exit(d.head, [int(b) for b in bits])
         if field.is_zero(d.values[e - 1]):
             assert repr(cells[i]) == repr(field.zero), i
     dense = [x * y for x in a for y in b]
@@ -201,6 +201,8 @@ def test_exp_family_values_and_size():
     for l, nvars in ((0, 1), (1, 2), (2, 4), (3, 8)):
         assert size(exp_family(F, nvars)).total == 13 * 2 ** l - 7
     assert validate(d) == []
+    with pytest.raises(ValueError, match="not a power of two"):
+        exp_family(F, 3)
 
 
 def test_exp_family_huge_weights_stay_symbolic():

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from wcflobdd.core import (Forest, StructureError, evaluate, evaluate_exit,
+from wcflobdd.core import (Forest, StructureError, evaluate,
                            reachable_groupings, size, validate)
 from wcflobdd.construct import exp_family, fold, hadamard_family
 from wcflobdd.pointwise import add, multiply
@@ -117,14 +117,6 @@ def test_evaluate_exp_worked_value():
     d = exp_family(f, 4)
     assert evaluate(d, [1, 0, 1, 1]) == 2048
     assert evaluate(d, [0, 0, 0, 0]) == 1
-
-
-def test_evaluate_exit_shape():
-    f = Forest(rational_field())
-    d = fold(f, [1, 2, 3, 5])
-    e, w = evaluate_exit(d, [1, 1])
-    assert 1 <= e <= d.head.number_of_exits
-    assert d.factor * w * d.values[e - 1] == 5
 
 
 def test_size_anchors():

@@ -1,6 +1,7 @@
 """Path-weight accumulation, squared-magnitude views, and drawing samples."""
 
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -402,6 +403,14 @@ def test_sampling_past_the_float_range():
             counts[pair] = counts.get(pair, 0) + count
     p = oracle.chi_square_p(counts, {"00": 0.5, "11": 0.5}, 120)
     assert p > 0.001, counts
+
+
+def test_float_totals_past_the_range_read_inf_and_still_sample():
+    # 2^1024 paths of weight 1: the plain total is past the float range.
+    forest = Forest(real_field())
+    assert compute_weights(forest, forest.one_proto(10)) == (math.inf,)
+    bits = sample_assignment(forest.one_diagram(10), SampleContext(5))
+    assert len(bits) == 1024 and set(bits) == {"0", "1"}
 
 
 def test_measure_samples_a_wide_uniform_state():

@@ -116,6 +116,9 @@ def test_pow2_arithmetic():
     assert FR.mul(big, Fraction(2)) == Pow2.make((1 << 17) + 1)
     assert FR.add(big, big) == Pow2.make((1 << 17) + 1)
     assert FR.add(big, Fraction(0)) is big
+    assert FR.add(Fraction(0), big) is big
+    with pytest.raises(OverflowError, match="not exact"):
+        FR.add(big, Pow2.make((1 << 17) + 1))
     assert FR.is_zero(FR.mul(big, Fraction(0)))
     try:
         FR.add(big, Fraction(1))

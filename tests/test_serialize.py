@@ -9,9 +9,11 @@ import pytest
 from wcflobdd.core import Forest
 from wcflobdd.construct import (exp_family, fold, hadamard_family,
                                 identity_matrix, unfold, walsh_family)
+from wcflobdd.matrix import kronecker, matrix_multiply
+from wcflobdd.pointwise import add, multiply
 from wcflobdd.quantum import ghz, quantum_forest, run_circuit
 from wcflobdd.serialize import dump_diagram, export_dot, load_diagram
-from wcflobdd.semifield import rational_field, real_field
+from wcflobdd.semifield import complex_field, rational_field, real_field
 
 import oracle
 
@@ -175,3 +177,62 @@ def test_dump_record_order():
         "b 3 1,2\n"
         "b 5 2\n"
         "d 1 6 1 0\n")
+
+
+def test_load_rejects_redefinitions(tmp_path):
+    # A reused grouping id silently rebound later references (this dump
+    # loaded as [1, 2, 7, 28/3]), and a second diagram record replaced
+    # the first ([5, 10, 15, 20]).
+    good = dump_diagram(fold(F, [1, 2, 3, 4]))
+    lines = good.splitlines()
+    at = next(i for i, ln in enumerate(lines) if " internal " in ln)
+    cases = (("\n".join(lines[:at] + ["g 0 fork 1 7"] + lines[at:]) + "\n",
+              at + 1, "grouping 0 is defined twice"),
+             (good + "d 5 3 1\n", len(lines) + 1, "second diagram record"))
+    for text, line, why in cases:
+        with pytest.raises(ValueError, match=f"line {line}:.*{why}"):
+            load_diagram(text)
+        path = tmp_path / "bad.dump"
+        path.write_text(text)
+        out = subprocess.run([sys.executable, "-m", "wcflobdd.cli", "eval",
+                              str(path), "11"], capture_output=True, text=True)
+        assert out.returncode == 2 and why in out.stderr, out.stderr
+
+
+@pytest.mark.parametrize("field", [rational_field(), real_field(),
+                                   complex_field()], ids=lambda f: f.name)
+def test_operations_on_loaded_operands(field):
+    # Loaded groupings carry no canonical flag, so the operations take
+    # their unflagged branches (the matrix product's collapse-and-reduce
+    # among them) and must still reach the in-memory result's handle.
+    rng = oracle.seeded(f"loaded-{field.name}")
+    kind = "rational" if field is rational_field() else "complex"
+    ops = (add, multiply, kronecker, matrix_multiply)
+    for level in (1, 2, 3):
+        for _ in range(3):
+            src, dst = Forest(field), Forest(field)
+            tables = [oracle.random_table(rng, 1 << level, kind)
+                      for _ in range(2)]
+            if field is real_field():
+                tables = [[v.real for v in t] for t in tables]
+            a, b = (fold(src, t) for t in tables)
+            la, lb = (load_diagram(dump_diagram(d), dst) for d in (a, b))
+            for op in ops:
+                got = op(la, lb)
+                assert got is load_diagram(dump_diagram(op(a, b)), dst), \
+                    (level, op.__name__)
+
+
+def test_add_of_loaded_unnormalized_leaves():
+    # Equal weights on both branches of a loaded don't-care leaf make
+    # the two entries of its cross product equal; they share one exit.
+    forest = Forest(rational_field())
+    twos, threes = (load_diagram(f"wcflobdd 1 rational\ng 0 dontcare {w} "
+                                 f"{w}\nd 1 0 1\n", forest) for w in (2, 3))
+    assert add(twos, threes) is fold(forest, [5, 5])
+    above = load_diagram("wcflobdd 1 rational\ng 0 dontcare 2 2\n"
+                         "g 1 fork 1 1\ng 2 internal 1 1 2\nb 0 1\nb 0 2\n"
+                         "d 1 2 1 0\n", forest)
+    assert unfold(above) == [2, 2, 0, 0]
+    assert add(above, fold(forest, [1, 1, 5, 7])) is \
+        fold(forest, [3, 3, 5, 7])
