@@ -320,16 +320,8 @@ class Forest:
         bs = []
         rts = []
         for b, row in middles:
-            rt = []
-            for label in row:
-                k = label if key is None else key(label)
-                e = first.get(k)
-                if e is None:
-                    e = first[k] = len(labels) + 1
-                    labels.append(label)
-                rt.append(e)
             bs.append(b)
-            rts.append(tuple(rt))
+            rts.append(_number(row, key, first, labels))
         return self.internal(a_connection, bs, rts), tuple(labels)
 
     def _new_grouping(self, key, g):
@@ -490,18 +482,24 @@ def collapse_classes_leftmost(items, key=None):
     index of its class in ``projected``.  For example
     ``[x, x, y, x, z]`` gives ``((x, y, z), (1, 1, 2, 1, 3))``.
     """
-    first = {}
     projected = []
-    renumbered = []
+    renumbered = _number(items, key, {}, projected)
+    return tuple(projected), renumbered
+
+
+def _number(items, key, first, labels):
+    """Class numbers of ``items`` by first occurrence under ``key``,
+    extending ``first`` (key to number) and ``labels`` (leftmost item of
+    each class) in place, so calls that share them number one sequence."""
+    out = []
     for item in items:
         k = item if key is None else key(item)
         c = first.get(k)
         if c is None:
-            c = len(projected) + 1
-            first[k] = c
-            projected.append(item)
-        renumbered.append(c)
-    return tuple(projected), tuple(renumbered)
+            c = first[k] = len(labels) + 1
+            labels.append(item)
+        out.append(c)
+    return tuple(out)
 
 
 # -- evaluation ---------------------------------------------------------
@@ -647,17 +645,16 @@ def _path_kinds(field, g, memo):
     got = memo.get(g)
     if got is not None:
         return got
+    zero = [False] * g.number_of_exits
+    nonzero = [False] * g.number_of_exits
     if g.level == 0:
-        lz = field.is_zero(g.lw)
-        rz = field.is_zero(g.rw)
-        if g.number_of_exits == 2:
-            kinds = ((lz, not lz), (rz, not rz))
-        else:
-            kinds = ((lz or rz, (not lz) or (not rz)),)
+        for bit in (0, 1):
+            e, w = g.branch(bit)
+            z = field.is_zero(w)
+            zero[e - 1] |= z
+            nonzero[e - 1] |= not z
     else:
         a_kinds = _path_kinds(field, g.a_connection, memo)
-        zero = [False] * g.number_of_exits
-        nonzero = [False] * g.number_of_exits
         for m, (b, rt) in enumerate(zip(g.b_connections, g.b_return_tuples)):
             b_kinds = _path_kinds(field, b, memo)
             az, anz = a_kinds[m]
@@ -667,7 +664,7 @@ def _path_kinds(field, g, memo):
                     zero[target - 1] = True
                 if anz and bnz:
                     nonzero[target - 1] = True
-        kinds = tuple(zip(zero, nonzero))
+    kinds = tuple(zip(zero, nonzero))
     memo[g] = kinds
     return kinds
 

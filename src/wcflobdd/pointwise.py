@@ -144,9 +144,7 @@ def pair_product(forest, g1, g2):
     zp = forest.zero_proto(level)
     op = forest.one_proto(level)
     field = forest.field
-    if g1 is op and g2 is op:
-        res = (g1, ((1, 1),))
-    elif g1 is zp or g2 is zp:
+    if g1 is zp or g2 is zp:
         res = (zp, ((1, 1),))
     elif g1 is op:
         res = (g2, tuple((1, k) for k in range(1, g2.number_of_exits + 1)))
@@ -235,8 +233,8 @@ def weighted_pair_product(forest, g1, g2, p1, p2):
         second = ((field.mul(p1, g1.rw), g1.number_of_exits),
                   (field.mul(p2, g2.rw), g2.number_of_exits))
         if _entry_key(field, first) == _entry_key(field, second):
-            # Only unnormalized leaves (a loaded dump) get here; above
-            # level 0 the two exits would break the parent's join.
+            # Entries the float key cannot tell apart (1e-8, 1.001e-8) get
+            # here; above level 0 two exits would break the parent's join.
             pt = (first,)
         else:
             pt = (first, second)

@@ -2,27 +2,26 @@
 
 The forest's ``sample_cdf`` table holds, per grouping, one row per exit,
 built bottom-up.  A row holds its exit's total over matched paths
-(compute_weights), the total's exponent, the forced flag and its plan.
-It is built from the draws that reach its exit and their running
-totals.  At level 0 a draw is its bit.  At an internal grouping a draw
-is a (middle, B-exit) pair, held as direct references to the
+(compute_weights), the total's exponent and its plan.  It is built
+from the draws that reach its exit and their running totals.  At level
+0 a draw is its bit, weighted by its edge.  At an internal grouping a
+draw is a (middle, B-exit) pair, held as direct references to the
 A-connection's row for that middle and the B-connection's row for that
 B-exit, and weighted by the product of those rows' totals.
 
-A path is sampled without unfolding: a row picks a draw in proportion
-to its weight with one ``random()`` call and one bisection, then walks
-the draw's child rows, A first.  Each row keeps this walk as a *plan*
-of steps (bits, skip, choice): append ``bits``, ``getrandbits(skip)``
-and, unless ``choice`` is None, pick a draw and run its rows' plans.
-A choice holds the draws and the float bounds of their running totals.
-A row whose pick is the same at every point ``random()`` can give, or
-that is *forced* (one draw, a nonzero total, forced child rows), makes
-no choice: its plan skips one call, then runs the draw's bit or child
-plans, joined up to the next choice.  A level-0 fork's rows are forced
-unless their weight is 0, and skip nothing.  On the Mersenne Twister
-``getrandbits(64 * k)`` takes the words of k ``random()`` calls, so
-each seeded draw and the generator state after it are those of the
-full walk.  ``sample_cdf`` also holds the row each diagram samples.
+A path is sampled without unfolding: a row picks a draw in proportion to
+its weight with one ``random()`` call and one bisection, then walks the
+draw's child rows, A first.  A level-0 fork's row has one draw and makes
+no call.  Each row keeps this walk as a *plan* of steps (bits, skip,
+choice): append ``bits``, ``getrandbits(skip)`` and, unless ``choice``
+is None, pick a draw and run its rows' plans.  A choice holds the draws
+and the float bounds of their running totals.  A row with one draw, or
+whose pick is the same at every point ``random()`` can give, makes no
+choice: its plan skips its call, then runs the draw's bit or child
+plans, joined up to the next choice.  On the Mersenne Twister
+``getrandbits(64 * k)`` takes the words of k ``random()`` calls, so each
+seeded draw and the generator state after it are those of the full walk.
+``sample_cdf`` also holds the row each diagram samples.
 
 Float rows scale their running totals by 2^-``exp`` so that the total
 lies in [0.5, 1), and store ``exp``: a term is the product of the child
@@ -35,8 +34,8 @@ table whose plain totals stay in range.  Rational rows keep exact
 totals and ``exp`` at 0; their bounds are the smallest floats at or
 above the running totals: for a float point p, a total c exceeds p
 exactly when its ceiling does, so the walk bisects floats and draws as
-the exact totals would.  A walk that reaches a total beyond the float
-range raises OverflowError; compute_weights still returns it exactly.
+the exact totals would.  Walking a choice among totals past the float
+range raises OverflowError; compute_weights returns them exactly.
 
 Leaf weights are checked to be nonnegative reals before any sum is
 formed, so no sum can cancel.  Quantum states carry signed or complex
@@ -132,12 +131,11 @@ def sample_assignment(diagram: Diagram, ctx: SampleContext) -> str:
 class _Row:
     """One exit of one grouping; see the module docstring."""
 
-    __slots__ = ("total", "exp", "forced", "plan")
+    __slots__ = ("total", "exp", "plan")
 
-    def __init__(self, total, exp, forced, plan):
+    def __init__(self, total, exp, plan):
         self.total = total
         self.exp = exp
-        self.forced = forced
         self.plan = plan
 
 
@@ -189,25 +187,21 @@ def _rows(forest, g):
     if hit is not None:
         return hit
     field = forest.field
-    if g.level == 0:
-        field.check_sampleable(g.lw)
-        field.check_sampleable(g.rw)
-        if g.number_of_exits == 2:
-            rows = (_row(field, ("0",), [g.lw], 0, True),
-                    _row(field, ("1",), [g.rw], 0, True))
-        else:
-            rows = (_row(field, ("0", "1"), [g.lw, field.add(g.lw, g.rw)],
-                         0, False),)
-        cache[g] = rows
-        return rows
     draws = [[] for _ in range(g.number_of_exits)]
     terms = [[] for _ in range(g.number_of_exits)]
-    for a, b, rt in zip(_rows(forest, g.a_connection), g.b_connections,
-                        g.b_return_tuples):
-        for e, row_b in zip(rt, _rows(forest, b)):
-            draws[e - 1].append((a, row_b))
-            terms[e - 1].append((field.mul(a.total, row_b.total),
-                                 a.exp + row_b.exp))
+    if g.level == 0:
+        for bit in (0, 1):
+            e, w = g.branch(bit)
+            field.check_sampleable(w)
+            draws[e - 1].append("01"[bit])
+            terms[e - 1].append((w, 0))
+    else:
+        for a, b, rt in zip(_rows(forest, g.a_connection), g.b_connections,
+                            g.b_return_tuples):
+            for e, row_b in zip(rt, _rows(forest, b)):
+                draws[e - 1].append((a, row_b))
+                terms[e - 1].append((field.mul(a.total, row_b.total),
+                                     a.exp + row_b.exp))
     rows = []
     for exit_draws, exit_terms in zip(draws, terms):
         # Align to the largest exponent of a term that has weight.
@@ -218,17 +212,15 @@ def _rows(forest, g):
             running = field.add(running,
                                 w if x == top else math.ldexp(w, x - top))
             cumulative.append(running)
-        rows.append(_row(field, exit_draws, cumulative, top,
-                         len(exit_draws) == 1
-                         and all(r.forced for r in exit_draws[0])))
+        rows.append(_row(field, exit_draws, cumulative, top))
     rows = cache[g] = tuple(rows)
     return rows
 
 
-def _row(field, draws, cumulative, exp, forced):
+def _row(field, draws, cumulative, exp):
     """The row of ``draws`` with running totals ``cumulative``: bounds
-    are the float totals renormalized or the exact totals' ceilings, None
-    past the float range, and () at a zero total, which is not forced."""
+    are the float totals renormalized or the exact totals' ceilings, and
+    None past the float range."""
     if isinstance(field.zero, float):
         shift = math.frexp(cumulative[-1])[1]
         if shift:
@@ -241,10 +233,7 @@ def _row(field, draws, cumulative, exp, forced):
             scale = float(cumulative[-1])
         except (OverflowError, TypeError):  # too large, or a symbolic 2^e
             bounds = scale = None
-    total = cumulative[-1]
-    if total == field.zero:
-        bounds, forced = (), False
-    return _Row(total, exp, forced, _plan(draws, bounds, scale, forced))
+    return _Row(cumulative[-1], exp, _plan(draws, bounds, scale))
 
 
 def _ceiling(c):
@@ -253,13 +242,13 @@ def _ceiling(c):
     return f if f >= c else math.nextafter(f, math.inf)
 
 
-def _plan(draws, bounds, scale, forced):
+def _plan(draws, bounds, scale):
     """The plan of a row, once the child rows of its draws have theirs."""
     pick = 0
-    hi = len(bounds) - 1 if bounds else 0
-    choose = (("", 0, (bounds, scale, draws, hi)),)
-    if not forced:
-        if not bounds:
+    hi = len(draws) - 1
+    if hi:
+        choose = (("", 0, (bounds, scale, draws, hi)),)
+        if bounds is None:
             return choose
         # random() gives k * 2^-53 for 0 <= k < 2^53 and the pick grows
         # with the point, so the same pick at both ends is certain.
@@ -267,8 +256,8 @@ def _plan(draws, bounds, scale, forced):
         if pick != bisect_right(bounds, (1 - 2 ** -53) * scale, 0, hi):
             return choose
     draw = draws[pick]
-    if type(draw) is str:  # a fork's row skips nothing
-        return ((draw, 0 if forced else 64, None),)
+    if type(draw) is str:  # a leaf; only a fork's row makes no call
+        return ((draw, 64 if hi else 0, None),)
     bits, skip, plan = "", 64, []
     for text, more, choice in draw[0].plan + draw[1].plan:
         bits += text
@@ -297,11 +286,9 @@ def _walk(plan, rng, out):
         if choice is None:
             return
         bounds, scale, draws, hi = choice
-        if not bounds:
-            if bounds is None:
-                raise OverflowError("a path-weight total is beyond the "
-                                    "float range and cannot be sampled")
-            raise ValueError("total path weight is zero")
+        if bounds is None:
+            raise OverflowError("a path-weight total is beyond the "
+                                "float range and cannot be sampled")
         # The first draw whose running total exceeds a uniform point,
         # which scales by the float total as random() * total does.
         draw = draws[bisect_right(bounds, rng.random() * scale, 0, hi)]

@@ -7,10 +7,12 @@ depth-first postorder that visits the A-connection before the
 B-connections, in middle order.  Weights are written and read by the
 forest's semi-field (``format`` and ``parse``), so every weight
 round-trips bit-identically, and a float or complex weight that is inf
-or nan is rejected with the line that holds it.  Loaded groupings are
-interned but never flagged canonical: the file is untrusted, and
-operations only lose a shortcut, not correctness, when the flag is
-absent.
+or nan is rejected with the line that holds it.  A loaded diagram must
+pass ``core.validate``, so a dump with unnormalized leaf weights, say,
+or of a measure view with phases (its duplicate middles) is rejected.
+Loaded groupings are interned but never flagged canonical: the file is
+untrusted, and operations only lose a shortcut, not correctness, when
+the flag is absent.
 
 The DOT output draws one cluster per distinct grouping with entry,
 middle, and exit vertices, decision edges carrying weights at level 0
@@ -18,7 +20,7 @@ and connection/return edges above.  It numbers groupings in the same
 postorder as the dump, so equal diagrams produce byte-equal text.
 """
 
-from .core import Diagram, Forest, reachable_groupings
+from .core import Diagram, Forest, reachable_groupings, validate
 from .semifield import field_by_name
 
 __all__ = ["dump_diagram", "load_diagram", "export_dot"]
@@ -55,7 +57,8 @@ def load_diagram(text: str, forest: Forest | None = None) -> Diagram:
 
     Without a forest one is created for the field named in the header.
     Raises ValueError on malformed input, such as a grouping id or a
-    diagram record given twice, or on a field mismatch.
+    diagram record given twice, on a field mismatch, or naming the first
+    ``validate`` violation of the loaded diagram.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -116,6 +119,9 @@ def load_diagram(text: str, forest: Forest | None = None) -> Diagram:
             raise ValueError(f"dump line {i + 1}: {lines[i]!r} ({e})") from None
     if diagram is None:
         raise ValueError("dump has no diagram record")
+    violations = validate(diagram)
+    if violations:
+        raise ValueError(f"dumped diagram is not valid: {violations[0]}")
     return diagram
 
 

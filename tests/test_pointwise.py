@@ -247,3 +247,17 @@ def test_sum_out_of_float_range_raises_on_read(instance):
     with pytest.raises(OverflowError, match="out of float range"):
         evaluate(s, "01")
     assert evaluate(s, "00") == 2.0
+
+
+def test_add_merges_leaf_entries_the_key_cannot_tell_apart():
+    # 1e-8 and 1.001e-8 key alike (the key keeps 10 decimal places), so
+    # the level-0 cross product's two exits merge; without the merge the
+    # parent's join raised StructureError.  The sum is off by 3e-11 at
+    # the odd cells, inside the key's absolute resolution.
+    a, b = (scalar_multiply(1e-8, fold(FL, [1.0, w, 1.0, w]))
+            for w in (1.001, 1.002))
+    assert validate(a) == [] and validate(b) == []
+    got = add(a, b)
+    assert validate(got) == []
+    exact = [2e-8, 2.003e-8, 2e-8, 2.003e-8]
+    assert all(abs(g - e) <= 1e-10 for g, e in zip(unfold(got), exact))

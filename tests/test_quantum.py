@@ -127,6 +127,24 @@ def test_gate_block_memo_gives_the_gates_of_a_fresh_forest():
         assert dump_diagram(built[gate]) == dump_diagram(alone), gate
 
 
+def test_gate_by_gate_replay_dumps_like_run_circuit():
+    """The benchmark's traced circuits run replays each circuit through
+    basis_state, build_gate and apply_matrix_to_vector on a fresh forest
+    and requires the dump of run_circuit's state, byte for byte."""
+    rng = oracle.seeded("replay")
+    bv, dj = (format(rng.getrandbits(31) | 1, "031b") for _ in range(2))
+    for circuit in (ghz(64), bernstein_vazirani(31, bv),
+                    deutsch_jozsa(31, dj), qft(8, rng.randrange(256))):
+        state = run_circuit(circuit, quantum_forest()).diagram
+        forest = quantum_forest()
+        padded = 1 << (circuit.n - 1).bit_length()
+        vector = basis_state(forest, (0,) * padded)
+        for gate in circuit.gates:
+            vector = apply_matrix_to_vector(
+                build_gate(forest, gate, circuit.n), vector)
+        assert dump_diagram(vector) == dump_diagram(state), circuit.n
+
+
 def test_build_gate_rejects_qubits_outside_the_register():
     f = quantum_forest()
     for gate, n in ((("H", 5), 2), (("X", 3), 3), (("PHASE", 0.5, -1), 2),

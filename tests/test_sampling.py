@@ -305,8 +305,8 @@ def test_plans_match_reference_walk():
 
 
 def test_forced_rows_past_the_float_range_are_walked():
-    # The draws reaching 1100 pass forced rows whose totals exceed the
-    # float range; a forced row's bounds are never read, so only a
+    # The draws reaching 1100 pass single-draw rows whose totals exceed
+    # the float range; such a row's bounds are never read, so only a
     # choice over such totals raises.
     big = Fraction(2) ** 1100
     leaves = {"0": 0, "1": 1, "3": 3, "B": big, "b": 1 / big}
@@ -314,6 +314,34 @@ def test_forced_rows_past_the_float_range_are_walked():
     ctx = SampleContext(0)
     assert [sample_assignment(d, ctx) for _ in range(8)] == [
         "1100", "1100", "0000", "1100", "0000", "1100", "1100", "0000"]
+
+
+def _full_walk_calls(g, bits):
+    """(random() calls, exit, bits left) of the full walk along ``bits``
+    below ``g``: one call per internal grouping and per don't-care leaf."""
+    if g.level == 0:
+        return g.number_of_exits == 1, g.branch(int(bits[0]))[0], bits[1:]
+    ca, m, bits = _full_walk_calls(g.a_connection, bits)
+    cb, k, bits = _full_walk_calls(g.b_connections[m - 1], bits)
+    return 1 + ca + cb, g.b_return_tuples[m - 1][k - 1], bits
+
+
+def test_a_single_draw_past_the_float_range_is_walked():
+    # The head row's one draw totals about 2^1200, past the float range,
+    # over child rows that are in range; sampling it raised OverflowError.
+    # Nearly all the weight sits on 0101, and every draw takes the
+    # generator words of the full walk.
+    big = Fraction(2) ** 600
+    d = fold(F, [a * b for a in (1, big, 0, 0) for b in (1, big, 1, 1)])
+    calls = _full_walk_calls(d.head, "0101")[0]
+    for seed in (0, 1):
+        ctx = SampleContext(seed)
+        ref = random.Random(seed)
+        for _ in range(4):
+            assert sample_assignment(d, ctx) == "0101"
+            for _ in range(calls):
+                ref.random()
+            assert ctx.source.getstate() == ref.getstate()
 
 
 def test_target_row_memo_keeps_checks_and_streams():

@@ -6,12 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from wcflobdd.core import Forest
+from wcflobdd.core import Forest, validate
 from wcflobdd.construct import (exp_family, fold, hadamard_family,
                                 identity_matrix, unfold, walsh_family)
 from wcflobdd.matrix import kronecker, matrix_multiply
 from wcflobdd.pointwise import add, multiply
 from wcflobdd.quantum import ghz, quantum_forest, run_circuit
+from wcflobdd.sampling import measure_view
 from wcflobdd.serialize import dump_diagram, export_dot, load_diagram
 from wcflobdd.semifield import complex_field, rational_field, real_field
 
@@ -223,16 +224,53 @@ def test_operations_on_loaded_operands(field):
                     (level, op.__name__)
 
 
-def test_add_of_loaded_unnormalized_leaves():
-    # Equal weights on both branches of a loaded don't-care leaf make
-    # the two entries of its cross product equal; they share one exit.
+def test_load_rejects_invalid_diagrams(tmp_path):
+    # These loaded before: unnormalized leaves (added to a level-1 table,
+    # the first gave a handle only by merging equal cross-product exits),
+    # an exit with value 1 reached by zero-weight paths only, and the
+    # duplicate middles of a measure view with phases.  Operations on
+    # such operands gave handles other than fold's, or a float-range
+    # error on the rational instance.
+    head = "wcflobdd 1 rational\n"
+    view = measure_view(fold(quantum_forest(), [0.5, 0.5, 0.5, -0.5]))
+    cases = ((head + "g 0 dontcare 2 2\ng 1 fork 1 1\ng 2 internal 1 1 2\n"
+              "b 0 1\nb 0 2\nd 1 2 1 0\n", "not normalized"),
+             (head + "g 0 fork 0 1\nd 2 0 1 0\n", "no nonzero path"),
+             (head + "g 0 dontcare 2 -1\nd 2 0 1\n", "not normalized"),
+             (dump_diagram(view), "duplicate"))
+    for text, why in cases:
+        with pytest.raises(ValueError, match=f"not valid: .*{why}"):
+            load_diagram(text)
+        path = tmp_path / "bad.dump"
+        path.write_text(text)
+        out = subprocess.run([sys.executable, "-m", "wcflobdd.cli",
+                              "validate", str(path)],
+                             capture_output=True, text=True)
+        assert out.returncode == 2 and why in out.stderr, out.stderr
+
+
+def test_scaled_leaf_weights_load_valid_or_are_rejected():
+    # Scaling leaf weights of seeded dumps: a dump that loads gives a
+    # diagram that validates, with the handle fold gives its table.
+    rng = oracle.seeded("scaled-leaves")
     forest = Forest(rational_field())
-    twos, threes = (load_diagram(f"wcflobdd 1 rational\ng 0 dontcare {w} "
-                                 f"{w}\nd 1 0 1\n", forest) for w in (2, 3))
-    assert add(twos, threes) is fold(forest, [5, 5])
-    above = load_diagram("wcflobdd 1 rational\ng 0 dontcare 2 2\n"
-                         "g 1 fork 1 1\ng 2 internal 1 1 2\nb 0 1\nb 0 2\n"
-                         "d 1 2 1 0\n", forest)
-    assert unfold(above) == [2, 2, 0, 0]
-    assert add(above, fold(forest, [1, 1, 5, 7])) is \
-        fold(forest, [3, 3, 5, 7])
+    outcomes = set()
+    for _ in range(100):
+        table = oracle.random_table(rng, 1 << rng.choice((1, 2)))
+        lines = dump_diagram(fold(forest, table)).splitlines()
+        for i, line in enumerate(lines):
+            parts = line.split()
+            if parts[2:3] in (["fork"], ["dontcare"]) and rng.random() < 0.5:
+                scale = Fraction(rng.choice((-2, -1, 0, 2, 3)),
+                                 rng.choice((1, 2)))
+                for slot in (3, 4) if rng.random() < 0.7 else (3,):
+                    parts[slot] = str(Fraction(parts[slot]) * scale)
+                lines[i] = " ".join(parts)
+        try:
+            d = load_diagram("\n".join(lines) + "\n", forest)
+        except ValueError:
+            outcomes.add("rejected")
+            continue
+        outcomes.add("loaded")
+        assert validate(d) == [] and d is fold(forest, unfold(d))
+    assert outcomes == {"rejected", "loaded"}
