@@ -33,8 +33,8 @@ Bilinear polynomials are plain dicts mapping ``(ev1, ev2)`` exit-index
 pairs to nonzero coefficients; the empty dict is the zero polynomial.
 """
 
-from .core import (Diagram, StructureError, _checked_diagram,
-                   collapse_classes_leftmost, is_zero_diagram)
+from .core import (Diagram, _checked_diagram, collapse_classes_leftmost,
+                   is_zero_diagram)
 from .construct import _fold, identity_matrix, identity_proto
 from .pointwise import (_common_forest, _cross_join, _merge_middles, finish,
                         reduce, weighted_pair_product)
@@ -224,8 +224,6 @@ def _mat_mult_groupings(forest, g1, g2):
     exit vertices.  A proto-vector ``g2`` sits one level below ``g1``;
     it has no column, so ``x`` is a row path and ``g`` a proto-vector.
     """
-    if g1.level - g2.level not in (0, 1):
-        raise ValueError("operand levels must be equal or one apart")
     field = forest.field
     cache = forest.cache("matrix_mult")
     key = (g1, g2)
@@ -345,8 +343,6 @@ def _mat_mult_internal(forest, g1, g2):
         weights.append(w)
         start += len(bps)
     g, w = _merge_middles(forest, aa, middles, weights)
-    if g.number_of_exits != len(reps):
-        raise StructureError("matrix product lost exit classes")
     return (g, reps, field.mul(wa, w))
 
 

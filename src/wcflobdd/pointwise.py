@@ -16,8 +16,8 @@ non-normalized leaf weights); they only ever flow into ``reduce``.
 
 from functools import partial
 
-from .core import (Diagram, StructureError, _checked_diagram,
-                   collapse_classes_leftmost, is_zero_diagram)
+from .core import (Diagram, _checked_diagram, collapse_classes_leftmost,
+                   is_zero_diagram)
 from .construct import scalar_multiply
 
 __all__ = [
@@ -102,8 +102,6 @@ def _reduce_internal(forest, grouping, reduction, values):
         vals = tuple(values[t - 1] for t in rt)
         projected, rho = collapse_classes_leftmost(classes)
         h, w = reduce(forest, b, rho, vals)
-        if h.number_of_exits != len(projected):
-            raise StructureError("reduced B-connection lost exit classes")
         middles.append((h, projected))
         b_factors.append(w)
     return _merge_middles(forest, grouping.a_connection, middles, b_factors)
@@ -117,8 +115,6 @@ def _merge_middles(forest, a, middles, weights):
     """
     kept, positions = collapse_classes_leftmost(middles)
     a, w = reduce(forest, a, positions, tuple(weights))
-    if a.number_of_exits != len(kept):
-        raise StructureError("reduced A-connection lost middle classes")
     g, _ = forest.join(a, kept)
     g.canonical = True
     return g, w

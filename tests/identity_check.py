@@ -16,10 +16,12 @@ the ``gate_blocks`` and grouping counts of three circuits and the
 entry count of each memo table after each, seeded sample streams with
 their path totals, the generator state after each and error messages,
 ``measure`` histograms (H on 256 and 1024 qubits among them), the
-float and complex canonical keys of edge and seeded values, and CLI
-output with ``time_s`` removed from bench rows.  Table counts are read after ``gc.collect()``, so no
-line depends on when the cyclic collector ran.  Run it on two checkouts
-and ``diff`` the outputs:
+float and complex canonical keys of edge and seeded values, CLI
+output with ``time_s`` removed from bench rows, and ``validate``'s
+report on diagrams that break each rule construction leaves open.
+Table counts are read after ``gc.collect()``, so no line depends on
+when the cyclic collector ran.  Run it on two checkouts and ``diff``
+the outputs:
 
     python3 tests/identity_check.py > after.txt
     python3 tests/identity_check.py /path/to/other/checkout/src > before.txt
@@ -326,6 +328,28 @@ def keys():
              "\n".join(_outcome(field.key, v) for v in values))
 
 
+def invalid():
+    """validate's report on seven rational diagrams built through a
+    Forest, each breaking one rule that construction leaves open."""
+    field = wc.field_by_name("rational")
+    f, other = wc.Forest(field), wc.Forest(field)
+    one, zero = field.one, field.zero
+    dc, fork01 = f.dontcare(one, one), f.fork(zero, one)
+    heads = (
+        (f.internal(f.fork(one, one), (dc, other.dontcare(one, one)),
+                    ((1,), (2,))), (one, zero)),
+        (f.fork(Fraction(2), Fraction(3)), (one, zero)),
+        (f.internal(f.fork(one, one), (dc, dc), ((1,), (1,))), (one,)),
+        (f.internal(fork01, (dc, dc), ((1,), (2,))), (zero, one)),
+        (f.internal(f.dontcare(zero, one), (dc,), ((1,),)), (one,)),
+        (fork01, (one, zero)),
+    )
+    diagrams = [f.diagram(one, head, values) for head, values in heads]
+    diagrams.append(f.diagram(zero, f.fork(one, one), (one, zero)))
+    emit("validate/invalid",
+         "\n".join(repr(wc.validate(d)) for d in diagrams))
+
+
 def _cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -389,6 +413,7 @@ def main():
     samples()
     keys()
     command_line()
+    invalid()
 
 
 if __name__ == "__main__":

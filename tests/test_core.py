@@ -1,7 +1,12 @@
 """Interning, evaluation, size accounting, and the invariant audit."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+
+import wcflobdd
 from wcflobdd.core import (Forest, StructureError, evaluate,
                            reachable_groupings, size, validate)
 from wcflobdd.construct import exp_family, fold, hadamard_family
@@ -63,6 +68,52 @@ def test_internal_rejects_malformed():
         assert False
     except StructureError:
         pass
+    fk = f.fork(ONE, Fraction(2))
+    deeper = f.internal(a, (dc, dc), ((1,), (2,)))
+    for bs, rts, why in (
+            ((fk, fk), ((1, 1), (2, 3)), "maps two exits together"),
+            ((fk, fk), ((2, 1), (1, 2)), "first-occurrence order"),
+            ((fk, fk), ((1, 2), (2, 0)), "bad return-tuple entry 0"),
+            ((fk, fk), ((1, 2), (2, "3")), "bad return-tuple entry '3'"),
+            ((fk, fk), ((1, 2), (2, 3.0)), "bad return-tuple entry 3.0"),
+            ((dc, deeper), ((1,), (2,)), "levels differ"),
+            ((dc, dc), ((1,),), "return-tuple counts differ")):
+        with pytest.raises(StructureError, match=why):
+            f.internal(a, bs, rts)
+
+
+def _constructor_calls():
+    """(class, enclosing function) of each call to a grouping or
+    diagram class in the package source."""
+    names = {"LeafGrouping", "InternalGrouping", "Diagram"}
+    calls = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                visit(child, where + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name in names:
+                    calls.append((name, ".".join(where)))
+            visit(child, where)
+
+    for path in sorted(Path(wcflobdd.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
+    return calls
+
+
+def test_structures_are_built_only_by_the_forest_constructors():
+    # validate and the engine's recursions leave the structural checks
+    # to these three methods; a second construction site would bring
+    # unchecked structure back within their reach.
+    assert sorted(_constructor_calls()) == [
+        ("Diagram", "core.Forest.diagram"),
+        ("InternalGrouping", "core.Forest.internal"),
+        ("LeafGrouping", "core.Forest.leaf")]
 
 
 def test_diagram_value_tuple_rules():

@@ -16,7 +16,7 @@ from wcflobdd.matrix import (_monomial, _symbolic_product,
                              apply_matrix_to_vector, kronecker,
                              matrix_multiply)
 from wcflobdd.pointwise import add
-from wcflobdd.quantum import (Circuit, amplitude, basis_state,
+from wcflobdd.quantum import (Circuit, QuantumState, amplitude, basis_state,
                               bernstein_vazirani, build_gate, deutsch_jozsa,
                               ghz, grover, measure, parse_circuit, qft,
                               quantum_forest, run_circuit, state_vector)
@@ -556,3 +556,59 @@ def test_phases_need_the_complex_instance(instance):
             build_gate(f, gate, 2)
     with pytest.raises(ValueError, match=message):
         run_circuit(Circuit(2).x(0).cp(math.pi / 2, 0, 1), f)
+
+
+# Float states past about 68 qubits: amplitudes of 2^-35 and below key
+# as 0 under the float key's 10 decimal places, and the results below,
+# though validate finds nothing wrong, are off by their whole size.
+
+
+def _plus_sum(n):
+    """add of H^n|0> and H^n X(0)|0>, run in one forest: the state
+    sqrt(2)|0>|+>^(n-1)."""
+    forest = quantum_forest()
+    states = []
+    for flip in (False, True):
+        circuit = Circuit(n)
+        if flip:
+            circuit.x(0)
+        for q in range(n):
+            circuit.h(q)
+        states.append(run_circuit(circuit, forest).diagram)
+    return QuantumState(n, add(*states))
+
+
+def _assert_amplitudes(state, want, scale):
+    """``state`` is valid and has amplitude ``want[bits]`` at each
+    ``bits``, to 1e-9 of ``scale``."""
+    assert validate(state.diagram) == []
+    for bits, value in want.items():
+        got = amplitude(state, bits)
+        assert abs(got - value) <= 1e-9 * scale, (bits, got, value)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the 80-qubit sum "
+                   "is the zero diagram, where 2^-39 is exact at |0...0>")
+def test_the_sum_of_two_80_qubit_states_is_not_zero():
+    exact = 2.0 ** -39
+    _assert_amplitudes(_plus_sum(80), {"0" * 80: exact, "1" + "0" * 79: 0},
+                       exact)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the 70-qubit sum "
+                   "reads 5.82e-11 at |10...0>, where 0 is exact")
+def test_the_sum_of_two_70_qubit_states_cancels_where_exact():
+    exact = 2.0 ** -34
+    _assert_amplitudes(_plus_sum(70), {"0" * 70: exact, "1" + "0" * 69: 0},
+                       exact)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: Z X Z X on |+>^72 "
+                   "gives +1.4552e-11 at |0...0>, where -2^-36 is exact")
+def test_two_phase_flips_negate_a_72_qubit_state():
+    circuit = Circuit(72)
+    for q in range(72):
+        circuit.h(q)
+    circuit.phase(math.pi, 0).x(0).phase(math.pi, 0).x(0)
+    exact = -2.0 ** -36
+    _assert_amplitudes(run_circuit(circuit), {"0" * 72: exact}, -exact)

@@ -249,6 +249,55 @@ def test_load_rejects_invalid_diagrams(tmp_path):
         assert out.returncode == 2 and why in out.stderr, out.stderr
 
 
+# The dump of the level-1 identity, and one structural fault per row:
+# (edits by line index, None deleting, the dump line that names the
+# fault, the message of the constructor that rejects it).
+_IDENTITY_1 = ("wcflobdd 1 rational", "g 0 fork 1 1", "g 1 fork 1 0",
+               "g 2 fork 0 1", "g 3 internal 1 0 2", "b 1 1,2", "b 2 2,1",
+               "d 1 3 1 0")
+_STRUCTURAL_FAULTS = (
+    ({5: "b 1 1,1"}, 5, "return tuple maps two exits together"),
+    ({5: "b 1 2,1"}, 5, "exit numbers must appear in first-occurrence order"),
+    ({5: "b 1 0,1"}, 5, "bad return-tuple entry 0"),
+    ({4: "g 3 internal 1 0 1", 6: None}, 5,
+     "middle count != A-connection exits"),
+    ({5: "b 1 1"}, 5, "return tuple length != B-connection exits"),
+    ({7: "d 1 3 1"}, 8, "value tuple length != head exits"),
+    ({7: "d 1 3 1 1"}, 8, "value tuple entries must be distinct"),
+    ({7: "d 1 3 1 2"}, 8, "value tuple entries must be 0 or 1"),
+    ({4: "g 3 internal 2 0 2"}, 5, "grouping 3 level mismatch"),
+)
+
+
+def _faulty_identity_dumps():
+    """(text, error message) of each row of ``_STRUCTURAL_FAULTS``."""
+    for edits, line, why in _STRUCTURAL_FAULTS:
+        lines = [edits.get(i, ln) for i, ln in enumerate(_IDENTITY_1)]
+        lines = [ln for ln in lines if ln is not None]
+        yield ("\n".join(lines) + "\n",
+               f"dump line {line}: {lines[line - 1]!r} ({why})")
+
+
+def test_load_names_the_line_of_each_structural_fault(tmp_path):
+    # validate does not repeat these checks: Forest.internal and
+    # Forest.diagram reject each fault as its record is read.
+    forest = Forest(rational_field())
+    good = "\n".join(_IDENTITY_1) + "\n"
+    assert load_diagram(good, forest) is identity_matrix(forest, 1)
+    cases = list(_faulty_identity_dumps())
+    assert len(cases) == 9
+    for text, message in cases:
+        with pytest.raises(ValueError) as info:
+            load_diagram(text)
+        assert str(info.value) == message
+    path = tmp_path / "bad.dump"
+    path.write_text(cases[0][0])
+    out = subprocess.run([sys.executable, "-m", "wcflobdd.cli", "validate",
+                          str(path)], capture_output=True, text=True)
+    assert out.returncode == 2 and cases[0][1] in out.stderr, out.stderr
+    assert out.stdout == ""
+
+
 def test_scaled_leaf_weights_load_valid_or_are_rejected():
     # Scaling leaf weights of seeded dumps: a dump that loads gives a
     # diagram that validates, with the handle fold gives its table.
