@@ -187,8 +187,8 @@ def _exp_proto(forest, level, place):
         g = forest.dontcare(field.one, field.power_of_two(1 << place))
     else:
         a = _exp_proto(forest, level - 1, place + (1 << (level - 1)))
-        g = forest.internal(a, (_exp_proto(forest, level - 1, place),),
-                            ((1,),))
+        b = _exp_proto(forest, level - 1, place)
+        g, _ = forest.join(a, ((b, (1,)),))
     g.canonical = True
     return g
 
@@ -201,11 +201,11 @@ def _folded(*cells):
 
 
 def _identity_step(below, zero):
-    return (below, zero), ((1, 2), (2,))
+    return (below, (1, 2)), (zero, (2,))
 
 
 def _not_step(below, zero):
-    return (zero, below), ((1,), (1, 2))
+    return (zero, (1,)), (below, (1, 2))
 
 
 # Forest._tower specs of the named families' heads.

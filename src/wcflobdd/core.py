@@ -9,10 +9,11 @@ wires an A-connection over the first half of the variables to
 B-connections over the second half through return tuples. Return
 tuples are 1-based, the A-return tuple is always the identity, and
 every grouping is interned in a per-forest unique table, so structural
-equality is pointer equality. ``Forest.leaf`` and ``Forest.internal``
+equality is pointer equality. ``Forest.leaf`` and ``Forest.join``
 are the two interning entry points; ``Forest.fork`` and
 ``Forest.dontcare`` name the two leaf exit counts.  ``Forest.join``
-numbers exits by the first occurrence of the middles' exit labels.
+numbers exits by the first occurrence of the middles' exit labels, so
+valid return tuples number to themselves.
 
 Groupings and diagrams hash by identity, and every unique and memo
 table keys on them, so each entry holds what it names.  A grouping's
@@ -144,29 +145,6 @@ class Diagram:
                 f"values=[{vals}])")
 
 
-def _check_return_tuples(b_connections, b_return_tuples):
-    """Shape checks of ``Forest.internal``, its one caller; returns the
-    exit count."""
-    if len(b_connections) != len(b_return_tuples) or not b_connections:
-        raise StructureError("B-connection and return-tuple counts differ")
-    seen_max = 0
-    for b, rt in zip(b_connections, b_return_tuples):
-        if len(rt) != b.number_of_exits:
-            raise StructureError("return tuple length != B-connection exits")
-        used = set()
-        for target in rt:
-            if not isinstance(target, int) or target < 1:
-                raise StructureError(f"bad return-tuple entry {target!r}")
-            if target in used:
-                raise StructureError("return tuple maps two exits together")
-            used.add(target)
-            if target > seen_max + 1:
-                raise StructureError(
-                    "exit numbers must appear in first-occurrence order")
-            seen_max = max(seen_max, target)
-    return seen_max
-
-
 # Unique-table keys: groupings with equal keys are the same grouping.
 
 
@@ -180,7 +158,7 @@ def _internal_key(level, a_connection, b_connections, b_return_tuples):
 
 def _one_middle(below, zero):
     """Tower step with a single middle: ``below`` again, one exit."""
-    return (below,), ((1,),)
+    return ((below, (1,)),)
 
 
 # The single-exit towers over the don't-care leaves (0, 1) and (1, 1).
@@ -289,35 +267,16 @@ class Forest:
         w = f.zero if f.is_zero(wr) else wr
         return self.leaf(f.zero, f.one, exits), w
 
-    def internal(self, a_connection, b_connections,
-                 b_return_tuples) -> InternalGrouping:
-        """Interned internal grouping; the one structural check of
-        internal groupings, raising StructureError on a fault."""
-        b_connections = tuple(b_connections)
-        b_return_tuples = tuple(tuple(rt) for rt in b_return_tuples)
-        level = a_connection.level + 1
-        key = _internal_key(level, a_connection, b_connections,
-                            b_return_tuples)
-        g = self._grouping_table.get(key, _absent)()
-        if g is not None:
-            # Same parts as a grouping that passed the checks below.
-            return g
-        if len(b_connections) != a_connection.number_of_exits:
-            raise StructureError("middle count != A-connection exits")
-        for b in b_connections:
-            if b.level != a_connection.level:
-                raise StructureError("A- and B-connection levels differ")
-        exits = _check_return_tuples(b_connections, b_return_tuples)
-        g = InternalGrouping(level, a_connection, b_connections,
-                             b_return_tuples, exits)
-        self._new_grouping(key, g)
-        return g
-
     def join(self, a_connection, middles, key=None):
         """(grouping, exit labels) over ``a_connection`` and ``middles``,
         its (B-connection, exit labels) pairs in A-exit order.  Labels
         equal under ``key`` (the identity when omitted) share an exit,
-        numbered by first occurrence across the middles."""
+        numbered by first occurrence across the middles.
+
+        The one constructor of internal groupings, and their one
+        structural check: numbering leaves open only the counts, the
+        levels and two labels of one middle sharing an exit, each a
+        StructureError."""
         first = {}
         labels = []
         bs = []
@@ -325,7 +284,26 @@ class Forest:
         for b, row in middles:
             bs.append(b)
             rts.append(_number(row, key, first, labels))
-        return self.internal(a_connection, bs, rts), tuple(labels)
+        bs, rts = tuple(bs), tuple(rts)
+        level = a_connection.level + 1
+        gkey = _internal_key(level, a_connection, bs, rts)
+        g = self._grouping_table.get(gkey, _absent)()
+        if g is None:
+            if len(bs) != a_connection.number_of_exits:
+                raise StructureError("middle count != A-connection exits")
+            for b in bs:
+                if b.level != a_connection.level:
+                    raise StructureError("A- and B-connection levels differ")
+            for b, rt in zip(bs, rts):
+                if len(rt) != b.number_of_exits:
+                    raise StructureError(
+                        "return tuple length != B-connection exits")
+                if len(set(rt)) != len(rt):
+                    raise StructureError(
+                        "return tuple maps two exits together")
+            g = InternalGrouping(level, a_connection, bs, rts, len(labels))
+            self._new_grouping(gkey, g)
+        return g, tuple(labels)
 
     def _new_grouping(self, key, g):
         """Enter ``g``; past the threshold, clear the caches."""
@@ -414,8 +392,9 @@ class Forest:
         """Head grouping of a tower at ``level``, built once per forest.
 
         ``spec`` is (name, lowest level, function from the forest to the
-        grouping there, step); each level above is ``internal(below,
-        *step(below, zero proto))``, and a one-level tower has no step.
+        grouping there, step); each level above is the grouping of
+        ``join(below, step(below, zero proto))``, the step giving the
+        middles, and a one-level tower has no step.
         Keyed by (name, level), not a cache.  The one level check of the
         protos and families: below the lowest level, ValueError.
         """
@@ -428,8 +407,8 @@ class Forest:
                 g = base(self)
             else:
                 below = self._tower(spec, level - 1)
-                g = self.internal(
-                    below, *step(below, self.zero_proto(level - 1)))
+                g, _ = self.join(below,
+                                 step(below, self.zero_proto(level - 1)))
             g.canonical = True
             self._tower_table[name, level] = g
         return g
@@ -675,7 +654,7 @@ def _path_kinds(field, g, memo):
 def validate(diagram: Diagram) -> list:
     """Violations, as strings, of the rules construction leaves open.
 
-    ``Forest.leaf``, ``internal`` and ``diagram`` build everything and
+    ``Forest.leaf``, ``join`` and ``diagram`` build everything and
     reject each structural fault.  An empty list means none of these
     shows: equal groupings interned apart (parts from another forest),
     unnormalized level-0 weights, duplicate middles, a dead middle other

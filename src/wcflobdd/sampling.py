@@ -110,9 +110,9 @@ def _view(forest, g):
             sq = forest.field.abs2
             out = vf.leaf(sq(g.lw), sq(g.rw), g.number_of_exits)
         else:
-            out = vf.internal(_view(forest, g.a_connection),
-                              tuple(_view(forest, b) for b in g.b_connections),
-                              g.b_return_tuples)
+            out, _ = vf.join(_view(forest, g.a_connection),
+                             ((_view(forest, b), rt) for b, rt in
+                              zip(g.b_connections, g.b_return_tuples)))
         cache[g] = out
     return out
 

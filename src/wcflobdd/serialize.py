@@ -93,15 +93,23 @@ def load_diagram(text: str, forest: Forest | None = None) -> Diagram:
                 gid, level = int(parts[1]), int(parts[3])
                 a = groupings[int(parts[4])]
                 count = int(parts[5])
-                bs = []
-                rts = []
+                middles = []
                 for j in range(count):
                     bparts = lines[i + 1 + j].split()
                     if bparts[0] != "b":
                         raise ValueError("expected b record")
-                    bs.append(groupings[int(bparts[1])])
-                    rts.append(tuple(int(t) for t in bparts[2].split(",")))
-                g = forest.internal(a, tuple(bs), tuple(rts))
+                    b = groupings[int(bparts[1])]
+                    rt = tuple(int(t) for t in bparts[2].split(","))
+                    for t in rt:
+                        if t < 1:
+                            raise ValueError(f"bad return-tuple entry {t}")
+                    middles.append((b, rt))
+                # join numbers the exits itself; a valid dump's explicit
+                # numbers are that numbering.
+                g, exits = forest.join(a, middles)
+                if exits != tuple(range(1, len(exits) + 1)):
+                    raise ValueError(
+                        "exit numbers must appear in first-occurrence order")
                 if g.level != level:
                     raise ValueError(f"grouping {gid} level mismatch")
                 groupings[gid] = g

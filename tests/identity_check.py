@@ -336,12 +336,13 @@ def invalid():
     one, zero = field.one, field.zero
     dc, fork01 = f.dontcare(one, one), f.fork(zero, one)
     heads = (
-        (f.internal(f.fork(one, one), (dc, other.dontcare(one, one)),
-                    ((1,), (2,))), (one, zero)),
+        (f.join(f.fork(one, one),
+                ((dc, (1,)), (other.dontcare(one, one), (2,))))[0],
+         (one, zero)),
         (f.fork(Fraction(2), Fraction(3)), (one, zero)),
-        (f.internal(f.fork(one, one), (dc, dc), ((1,), (1,))), (one,)),
-        (f.internal(fork01, (dc, dc), ((1,), (2,))), (zero, one)),
-        (f.internal(f.dontcare(zero, one), (dc,), ((1,),)), (one,)),
+        (f.join(f.fork(one, one), ((dc, (1,)), (dc, (1,))))[0], (one,)),
+        (f.join(fork01, ((dc, (1,)), (dc, (2,))))[0], (zero, one)),
+        (f.join(f.dontcare(zero, one), ((dc, (1,)),))[0], (one,)),
         (fork01, (one, zero)),
     )
     diagrams = [f.diagram(one, head, values) for head, values in heads]

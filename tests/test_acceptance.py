@@ -171,10 +171,12 @@ def test_criterion_4_worked_values():
 
     # the symbolic 2x2 product and its four bilinear polynomials
     a = f.fork(ONE, ONE)
-    m1 = f.internal(a, (f.dontcare(ONE, ONE),
-                        f.fork(Fraction(2), Fraction(4))), ((1,), (2, 3)))
-    m2 = f.internal(a, (f.fork(ONE, Fraction(0)),
-                        f.fork(Fraction(3), Fraction(3))), ((1, 2), (1, 3)))
+    m1, _ = f.join(a, zip((f.dontcare(ONE, ONE),
+                           f.fork(Fraction(2), Fraction(4))),
+                          ((1,), (2, 3))))
+    m2, _ = f.join(a, zip((f.fork(ONE, Fraction(0)),
+                           f.fork(Fraction(3), Fraction(3))),
+                          ((1, 2), (1, 3))))
     _, m, w = _mat_mult_groupings(f, m1, m2)
     assert m == ({(1, 1): Fraction(4)}, {(1, 3): Fraction(3)},
                  {(2, 1): Fraction(2), (3, 1): Fraction(12)},

@@ -30,8 +30,8 @@ def test_internal_interning():
     f = Forest(rational_field())
     a = f.fork(ONE, ONE)
     bs = (f.dontcare(ONE, ONE), f.fork(ONE, Fraction(2)))
-    g1 = f.internal(a, bs, ((1,), (1, 2)))
-    g2 = f.internal(a, bs, ((1,), (1, 2)))
+    g1 = f.join(a, zip(bs, ((1,), (1, 2))))[0]
+    g2 = f.join(a, zip(bs, ((1,), (1, 2))))[0]
     assert g1 is g2
     assert g1.number_of_exits == 2
     assert g1.level == 1
@@ -44,42 +44,40 @@ def test_join_numbers_exits_by_first_occurrence():
     g, labels = f.join(a, [(b1, ("q", "p")), (b2, ("r", "p"))])
     assert labels == ("q", "p", "r")
     assert g.b_return_tuples == ((1, 2), (3, 2))
-    assert g is f.internal(a, (b1, b2), ((1, 2), (3, 2)))
+    assert g is f.join(a, zip((b1, b2), ((1, 2), (3, 2))))[0]
     # Labels are compared through the key: 1.0 + 1e-12 keys as 1.0.
     fl = Forest(real_field())
     a, dc, fk = fl.fork(1.0, 1.0), fl.dontcare(1.0, 1.0), fl.fork(1.0, 2.0)
     g, labels = fl.join(a, [(dc, (1.0,)), (fk, (1.0 + 1e-12, 2.0))],
                         fl.field.key)
     assert labels == (1.0, 2.0)
-    assert g is fl.internal(a, (dc, fk), ((1,), (1, 2)))
+    assert g is fl.join(a, zip((dc, fk), ((1,), (1, 2))))[0]
 
 
-def test_internal_rejects_malformed():
+def test_join_rejects_malformed():
+    # Numbering leaves open the counts, the levels and two labels of
+    # one middle that share an exit; join checks exactly these.
     f = Forest(rational_field())
     a = f.fork(ONE, ONE)
     dc = f.dontcare(ONE, ONE)
-    try:
-        f.internal(a, (dc,), ((1,),))  # middle count != a exits
-        assert False
-    except StructureError:
-        pass
-    try:
-        f.internal(a, (dc, dc), ((1,), (1, 2)))  # rt longer than b exits
-        assert False
-    except StructureError:
-        pass
     fk = f.fork(ONE, Fraction(2))
-    deeper = f.internal(a, (dc, dc), ((1,), (2,)))
-    for bs, rts, why in (
-            ((fk, fk), ((1, 1), (2, 3)), "maps two exits together"),
-            ((fk, fk), ((2, 1), (1, 2)), "first-occurrence order"),
-            ((fk, fk), ((1, 2), (2, 0)), "bad return-tuple entry 0"),
-            ((fk, fk), ((1, 2), (2, "3")), "bad return-tuple entry '3'"),
-            ((fk, fk), ((1, 2), (2, 3.0)), "bad return-tuple entry 3.0"),
-            ((dc, deeper), ((1,), (2,)), "levels differ"),
-            ((dc, dc), ((1,),), "return-tuple counts differ")):
+    deeper, _ = f.join(a, ((dc, (1,)), (dc, (2,))))
+    for middles, why in (
+            (((dc, (1,)),), "middle count != A-connection exits"),
+            (((dc, (1,)), (dc, (1, 2))),
+             "return tuple length != B-connection exits"),
+            (((dc, (1,)), (deeper, (2,))),
+             "A- and B-connection levels differ"),
+            (((fk, ("p", "p")), (fk, ("q", "r"))),
+             "return tuple maps two exits together")):
         with pytest.raises(StructureError, match=why):
-            f.internal(a, bs, rts)
+            f.join(a, middles)
+    # Labels equal under the key share an exit: 1.0 + 1e-12 keys as 1.0.
+    fl = Forest(real_field())
+    a, fk = fl.fork(1.0, 1.0), fl.fork(1.0, 2.0)
+    with pytest.raises(StructureError, match="maps two exits together"):
+        fl.join(a, ((fk, (1.0, 1.0 + 1e-12)), (fk, (1.0, 2.0))),
+                fl.field.key)
 
 
 def _constructor_calls():
@@ -112,7 +110,7 @@ def test_structures_are_built_only_by_the_forest_constructors():
     # unchecked structure back within their reach.
     assert sorted(_constructor_calls()) == [
         ("Diagram", "core.Forest.diagram"),
-        ("InternalGrouping", "core.Forest.internal"),
+        ("InternalGrouping", "core.Forest.join"),
         ("LeafGrouping", "core.Forest.leaf")]
 
 
@@ -202,10 +200,10 @@ def test_reachable_parents_first():
 
 def test_validate_flags_unnormalized_weights():
     f = Forest(rational_field())
-    head = f.internal(f.fork(ONE, ONE),
-                      (f.fork(Fraction(2), Fraction(3)),
-                       f.fork(ONE, Fraction(2))),
-                      ((1, 2), (1, 2)))
+    head, _ = f.join(f.fork(ONE, ONE),
+                     zip((f.fork(Fraction(2), Fraction(3)),
+                          f.fork(ONE, Fraction(2))),
+                         ((1, 2), (1, 2))))
     d = f.diagram(ONE, head, (ONE, ZERO))
     msgs = validate(d)
     assert any("not normalized" in m for m in msgs), msgs
@@ -214,10 +212,10 @@ def test_validate_flags_unnormalized_weights():
 def test_validate_flags_duplicate_middles():
     f = Forest(rational_field())
     b = f.fork(ONE, ONE)
-    head = f.internal(f.fork(ONE, ONE), (b, b), ((1, 2), (1, 2)))
+    head, _ = f.join(f.fork(ONE, ONE), zip((b, b), ((1, 2), (1, 2))))
     msgs = validate(f.diagram(ONE, head, (ONE, ZERO)))
     assert any("duplicate (B-connection" in m for m in msgs), msgs
-    distinct = f.internal(f.fork(ONE, ONE), (b, b), ((1, 2), (2, 1)))
+    distinct, _ = f.join(f.fork(ONE, ONE), zip((b, b), ((1, 2), (2, 1))))
     msgs = validate(f.diagram(ONE, distinct, (ONE, ZERO)))
     assert not any("duplicate (B-connection" in m for m in msgs), msgs
 

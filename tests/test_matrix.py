@@ -34,12 +34,12 @@ def test_symbolic_two_by_two_product():
     3 ev3']] must give the four bilinear polynomials
     [{(1,1): 4}, {(1,3): 3}, {(2,1): 2, (3,1): 12}, {(3,3): 12}]."""
     a = F.fork(ONE, ONE)
-    m1 = F.internal(a, (F.dontcare(ONE, ONE),
-                        F.fork(Fraction(2), Fraction(4))),
-                    ((1,), (2, 3)))
-    m2 = F.internal(a, (F.fork(ONE, FR.zero),
-                        F.fork(Fraction(3), Fraction(3))),
-                    ((1, 2), (1, 3)))
+    m1, _ = F.join(a, zip((F.dontcare(ONE, ONE),
+                           F.fork(Fraction(2), Fraction(4))),
+                          ((1,), (2, 3))))
+    m2, _ = F.join(a, zip((F.fork(ONE, FR.zero),
+                           F.fork(Fraction(3), Fraction(3))),
+                          ((1, 2), (1, 3))))
     g, m, w = _mat_mult_groupings(F, m1, m2)
     assert m == ({(1, 1): Fraction(4)},
                  {(1, 3): Fraction(3)},

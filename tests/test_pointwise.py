@@ -64,6 +64,16 @@ def test_reduce_worked_case():
     assert rz is F.zero_proto(1) and wz == 0
 
 
+def test_reduce_rejects_a_bad_reduction():
+    # A reduction out of first-occurrence order would otherwise give a
+    # silently misnumbered grouping.
+    fk = F.fork(ONE, Fraction(2))
+    with pytest.raises(ValueError, match="not leftmost-compact"):
+        reduce(F, fk, (2, 1), (ONE, ONE))
+    with pytest.raises(ValueError, match="must have length 2, got 1 and 2"):
+        reduce(F, fk, (1,), (ONE, ONE))
+
+
 def test_weighted_pair_product_fork_dontcare():
     fx = F.fork(ONE, Fraction(3))
     dx = F.dontcare(ONE, Fraction(4))

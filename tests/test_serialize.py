@@ -259,6 +259,8 @@ _STRUCTURAL_FAULTS = (
     ({5: "b 1 1,1"}, 5, "return tuple maps two exits together"),
     ({5: "b 1 2,1"}, 5, "exit numbers must appear in first-occurrence order"),
     ({5: "b 1 0,1"}, 5, "bad return-tuple entry 0"),
+    ({5: "b 1 -1,1"}, 5, "bad return-tuple entry -1"),
+    ({5: "b 1 1,3"}, 5, "exit numbers must appear in first-occurrence order"),
     ({4: "g 3 internal 1 0 1", 6: None}, 5,
      "middle count != A-connection exits"),
     ({5: "b 1 1"}, 5, "return tuple length != B-connection exits"),
@@ -279,13 +281,14 @@ def _faulty_identity_dumps():
 
 
 def test_load_names_the_line_of_each_structural_fault(tmp_path):
-    # validate does not repeat these checks: Forest.internal and
-    # Forest.diagram reject each fault as its record is read.
+    # validate does not repeat these checks: Forest.join, the loader
+    # (its explicit exit numbers) and Forest.diagram reject each fault
+    # as its record is read.
     forest = Forest(rational_field())
     good = "\n".join(_IDENTITY_1) + "\n"
     assert load_diagram(good, forest) is identity_matrix(forest, 1)
     cases = list(_faulty_identity_dumps())
-    assert len(cases) == 9
+    assert len(cases) == 11
     for text, message in cases:
         with pytest.raises(ValueError) as info:
             load_diagram(text)
